@@ -356,7 +356,7 @@ fn lint_capture<P: Protocol>(auditor: &Auditor<'_, P>, cap: &Capture<P>) -> Lint
                 let Some((values, _)) = cap.alphabets.get(&spec.id) else {
                     continue;
                 };
-                let max_word = values.iter().map(pack).max().unwrap_or(0);
+                let max_word = values.iter().map(|v| pack(spec.id, v)).max().unwrap_or(0);
                 let needed = u64::BITS - max_word.leading_zeros();
                 let needed = needed.max(1);
                 if needed < spec.width_bits {

@@ -348,6 +348,9 @@ impl Protocol for LintMutantTwo {
     }
 }
 
+/// No symmetry elements declared: each mutant plants its trigger in P0.
+impl cil_mc::Symmetric for LintMutantTwo {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@
 //! - **(a) access sets** — each `Op` targets a declared register, writes go
 //!   through the declared writer, reads stay inside the reader set;
 //! - **(b) width bounds** — every written value packs into the register's
-//!   declared `width_bits` (needs a [packer](Auditor::with_packer));
+//!   declared `width_bits` (needs a [codec](Auditor::with_codec));
 //! - **(c) coin measures** — every `Choice` is a well-formed probability
 //!   measure: non-empty, strictly positive weights;
 //! - **(d) decision stability** — a decided state is absorbing: it either
@@ -35,7 +35,7 @@
 
 use crate::diag::{Clause, Violation};
 use cil_registers::{Pid, RegId, RegisterSpec, SharedMemory};
-use cil_sim::{Choice, Op, Protocol, Val};
+use cil_sim::{Choice, Op, PackCodec, Protocol, Val, WordCodec};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -213,8 +213,9 @@ pub struct Auditor<'p, P: Protocol> {
     pub(crate) packer: Option<Packer<'p, P::Reg>>,
 }
 
-/// A caller-supplied register-value-to-machine-word packing function.
-type Packer<'p, R> = Box<dyn Fn(&R) -> u64 + 'p>;
+/// A caller-supplied register-value-to-machine-word packing function,
+/// given the register the value is stored in.
+type Packer<'p, R> = Box<dyn Fn(RegId, &R) -> u64 + 'p>;
 
 /// One register's observable alphabet: values in discovery order (for
 /// deterministic reports) plus a membership set.
@@ -252,11 +253,13 @@ impl<'p, P: Protocol> Auditor<'p, P> {
         self
     }
 
-    /// Supplies the packing function used for check (b): how a register
-    /// value maps to a machine word. Without one, width bounds are not
+    /// Supplies the encoding used for check (b): how a register value maps
+    /// to a machine word — the codec the hardware backends store words
+    /// with, per register, so heterogeneous register banks are checked
+    /// against their own encodings. Without one, width bounds are not
     /// checked (a note records the omission).
-    pub fn with_packer(mut self, packer: impl Fn(&P::Reg) -> u64 + 'p) -> Self {
-        self.packer = Some(Box::new(packer));
+    pub fn with_codec(mut self, codec: &'p impl WordCodec<P::Reg>) -> Self {
+        self.packer = Some(Box::new(move |reg, value| codec.pack(reg, value)));
         self
     }
 
@@ -551,7 +554,7 @@ impl<'p, P: Protocol> Auditor<'p, P> {
                 });
             }
             if let Some(pack) = &self.packer {
-                let word = pack(value);
+                let word = pack(spec.id, value);
                 if word > spec.max_word() {
                     pass.violations.push(Violation {
                         clause: Clause::WidthBound,
@@ -728,7 +731,7 @@ where
     /// Uses the register type's [`Packable`](cil_registers::Packable)
     /// implementation as the width-check packer.
     pub fn with_packable(self) -> Self {
-        self.with_packer(|r: &P::Reg| cil_registers::Packable::pack(r))
+        self.with_codec(&PackCodec)
     }
 }
 

@@ -1,26 +1,24 @@
 //! The `cil` subcommands.
 
 use crate::args::{parse_inputs, Args};
+use crate::spec::{
+    cert_candidates, fits_active_mask, parse_rule, with_audit_spec, with_spec, AuditSpec,
+    ProtocolSpec, AUDIT_ALL,
+};
 use crate::CliFailure;
 use cil_analysis::fnum;
 use cil_audit::{
-    check_certificate, lint_with_footprints, AuditReport, Auditor, FootprintTable, LintMutant,
-    LintMutantTwo, LintReport, MutantKind, MutantTwo, ProveOutcome, Prover, TraceAuditor,
+    check_certificate, lint_with_footprints, Auditor, ProveOutcome, Prover, TraceAuditor,
 };
 use cil_conc::{
     classify, cross_validate, ddmin_schedule, rerun_trial_with_codec, stress_timed_with_codec,
-    ConcOutcome, ControlledRun, DporConfig, DporReport, DporTiming, GateTimingAgg, RacyTwo,
-    ReplaySchedule, StaticIndep, StrategySpec, StressConfig,
+    ConcOutcome, ControlledRun, DporConfig, DporReport, DporTiming, GateTimingAgg, ReplaySchedule,
+    StaticIndep, StrategySpec, StressConfig,
 };
 use cil_core::apps::{elect_leader, MutexLog};
-use cil_core::deterministic::{DetRule, DetTwo};
-use cil_core::kvalued::{KReg, KValued};
+use cil_core::deterministic::DetTwo;
 use cil_core::n_unbounded::NUnbounded;
-use cil_core::n_unbounded_1w1r::NUnbounded1W1R;
-use cil_core::naive::Naive;
-use cil_core::three_bounded::ThreeBounded;
 use cil_core::two::TwoProcessor;
-use cil_core::KRegCodec;
 use cil_mc::mdp::{MdpSolver, Objective};
 use cil_mc::{
     construct_infinite_schedule, CompactExplorer, CompactMdp, CompactOptions, Explorer,
@@ -31,11 +29,10 @@ use cil_obs::{
     JsonlSink, LevelReporter, MetricsSnapshot, ProgressMeter, Registry, RunEvent, SpanStat,
     SpanTimer, SpanTree,
 };
-use cil_registers::Packable;
 use cil_serve::{ServeEngine, ServeLimit, ServeReport};
 use cil_sim::{
-    parse_schedule, run_on_threads, Adversary, Alternator, BoxedAdversary, FixedSchedule,
-    LaggardFirst, LeaderFirst, PackCodec, Protocol, RandomScheduler, Rng as _, RoundRobin, Runner,
+    parse_schedule, run_on_threads_gated, Adversary, Alternator, BoxedAdversary, FixedSchedule,
+    FreeGate, LaggardFirst, LeaderFirst, Protocol, RandomScheduler, Rng as _, RoundRobin, Runner,
     SplitKeeper, SweepObserver, TrialOutcome, TrialResult, TrialSweep, Val, WordCodec,
 };
 use std::fmt::Write as _;
@@ -139,10 +136,17 @@ USAGE:
                 --duration / --target-decisions are load-generator modes
   cil help
 
-PROTOCOLS <P>: two | fig2 | fig2-literal | fig2-1w1r | fig3 | naive
-               | n:<count> | kvalued:<k>
-               (conc also accepts det:<R> and mutant:racy, the planted
-               interleaving-sensitive consistency bug)
+PROTOCOLS <P>: one grammar for every subcommand that takes <P>:
+      two | fig2 | fig2-literal | fig2-1w1r | fig3 | naive | n:<count>
+      | kvalued:<k> | det:<R> | mutant:<M>
+      n:<count> and naive need at least 2 processors; naive takes its count
+      from --inputs (default 3). kvalued:<k> needs k >= 2 and runs over two,
+      or over n:<count> when --inputs has more than two values.
+      Value domains (--inputs, prove --domain): kvalued:<k> takes 0..k;
+      fig2, fig2-literal, fig2-1w1r and n:<count> take values below 2^15;
+      every other family takes a and b only. check, survival, prove and
+      conc explore --cross-check take at most 64 processors; mdp analyses
+      two only.
 ADVERSARIES <A>: round-robin | random | split-keeper | laggard | leader
                | alternator | lookahead:<h> | \"(2,3,3,2,1)\" (paper notation)
 STRATEGIES <S> (conc): random | pct | pct:<d> — pct randomizes thread
@@ -162,11 +166,12 @@ OBSERVABILITY: --progress renders a live rate/ETA (sweep) or per-level BFS
       records wall-clock telemetry — hierarchical spans, log-scale latency
       histograms (trial, gate-wait/run, per-sweep), reproducible in shape
       but never in value. None of these change results.
-MUTANTS <M>: width-overflow | unauthorized-reader | unstable-decision
+MUTANTS <M>: racy — the planted interleaving-sensitive consistency bug;
+      dead-write | width-waste — model-compliant (audit passes) but each
+      fires its `cil lint` pass. Model mutants, accepted by audit and lint
+      only: width-overflow | unauthorized-reader | unstable-decision
       | non-normalized-coin — the two-processor protocol with one planted
       model violation each; `cil audit mutant:<M>` must reject all four.
-      Lint mutants: dead-write | width-waste — model-compliant (audit
-      passes) but each fires its `cil lint` pass.
 EXIT CODES: 0 = success; 1 = verification failed (`cil audit` found model
       violations, `cil lint` found findings, `cil prove` refuted a property
       or rejected a certificate, `cil replay` found trace anomalies or
@@ -276,7 +281,8 @@ fn merge_sweep_spans(registry: &Registry, root: &str, hist: &str, trials: u64, w
     registry.merge_spans(&tree);
 }
 
-fn run_one<P: Protocol + 'static>(protocol: &P, args: &Args) -> Result<String, String> {
+/// Parses `--inputs` and checks it gives one value per processor.
+fn inputs_for<P: Protocol>(protocol: &P, args: &Args) -> Result<Vec<Val>, String> {
     let inputs = parse_inputs(args.get_or("inputs", ""))?;
     if inputs.len() != protocol.processes() {
         return Err(format!(
@@ -286,6 +292,20 @@ fn run_one<P: Protocol + 'static>(protocol: &P, args: &Args) -> Result<String, S
             inputs.len()
         ));
     }
+    Ok(inputs)
+}
+
+/// The `--protocol <P>` spec of run, sweep, check, survival and threads.
+fn protocol_arg(args: &Args) -> Result<ProtocolSpec, String> {
+    ProtocolSpec::from_args(args.get_or("protocol", "two"), args)
+}
+
+fn run_one<P: Protocol + 'static, C>(
+    protocol: &P,
+    _codec: &C,
+    args: &Args,
+) -> Result<String, String> {
+    let inputs = inputs_for(protocol, args)?;
     let seed = args.get_u64("seed", 0)?;
     let spec = args.get_or("adversary", "random");
     let adversary = make_adversary::<P>(spec, seed)?;
@@ -349,60 +369,19 @@ fn run_one<P: Protocol + 'static>(protocol: &P, args: &Args) -> Result<String, S
     Ok(s)
 }
 
-macro_rules! with_protocol {
-    ($args:expr, $f:ident) => {{
-        let args = $args;
-        let spec = args.get_or("protocol", "two");
-        let n_inputs = parse_inputs(args.get_or("inputs", ""))?.len();
-        match spec {
-            "two" => $f(&TwoProcessor::new(), args),
-            "fig2" => $f(&NUnbounded::three(), args),
-            "fig2-literal" => $f(&NUnbounded::literal_fig2(3), args),
-            "fig2-1w1r" => $f(&NUnbounded1W1R::three(), args),
-            "fig3" => $f(&ThreeBounded::new(), args),
-            "naive" => $f(&Naive::new(n_inputs.max(2)), args),
-            s if s.starts_with("n:") => {
-                let n: usize = s[2..]
-                    .parse()
-                    .map_err(|_| format!("bad processor count in '{s}'"))?;
-                $f(&NUnbounded::new(n), args)
-            }
-            s if s.starts_with("kvalued:") => {
-                let k: u64 = s["kvalued:".len()..]
-                    .parse()
-                    .map_err(|_| format!("bad k in '{s}'"))?;
-                if n_inputs <= 2 {
-                    $f(&KValued::new(TwoProcessor::new(), k), args)
-                } else {
-                    $f(&KValued::new(NUnbounded::new(n_inputs), k), args)
-                }
-            }
-            other => Err(format!("unknown protocol '{other}' (see cil help)")),
-        }
-    }};
-}
-
 /// `cil run` — execute one run.
 pub fn run(args: &Args) -> Result<String, String> {
-    with_protocol!(args, run_one)
+    with_spec!(protocol_arg(args)?, run_one(args))
 }
 
 /// Re-runs a protocol under a fixed schedule and returns the regenerated
 /// JSONL event body (no meta line) for byte-for-byte comparison.
-fn capture_events_one<P: Protocol + 'static>(protocol: &P, args: &Args) -> Result<String, String>
-where
-    P::State: 'static,
-    P::Reg: 'static,
-{
-    let inputs = parse_inputs(args.get_or("inputs", ""))?;
-    if inputs.len() != protocol.processes() {
-        return Err(format!(
-            "--inputs: expected {} values for {}, got {}",
-            protocol.processes(),
-            protocol.name(),
-            inputs.len()
-        ));
-    }
+fn capture_events_one<P: Protocol + 'static, C>(
+    protocol: &P,
+    _codec: &C,
+    args: &Args,
+) -> Result<String, String> {
+    let inputs = inputs_for(protocol, args)?;
     let seed = args.get_u64("seed", 0)?;
     let adversary = make_adversary::<P>(args.get_or("adversary", "round-robin"), seed)?;
     let max_steps = args.get_u64("max-steps", 1_000_000)?;
@@ -495,13 +474,14 @@ pub fn replay(args: &Args) -> Result<String, CliFailure> {
         sched_spec,
     ];
     let inner = Args::parse(tokens, &[])?;
+    let spec = ProtocolSpec::from_args(protocol, &inner)?;
 
     // Happens-before audit of the captured stream, before re-execution: the
     // capture's own claim — "I am a serialization of atomic register
     // operations" — is checked against the protocol's declared registers.
     let mut audit_section = String::new();
     if args.flag("audit") {
-        let auditor = with_protocol!(&inner, trace_auditor_one)?;
+        let auditor = with_spec!(spec, trace_auditor());
         let report = auditor.audit_jsonl(&captured.join("\n"))?;
         audit_section = report.render();
         if !report.ok() {
@@ -511,7 +491,7 @@ pub fn replay(args: &Args) -> Result<String, CliFailure> {
         }
     }
 
-    let regenerated = with_protocol!(&inner, capture_events_one)?;
+    let regenerated = with_spec!(spec, capture_events_one(&inner))?;
     let regen: Vec<&str> = regenerated.lines().collect();
     for (i, (a, b)) in captured.iter().zip(&regen).enumerate() {
         if a != b {
@@ -541,122 +521,74 @@ pub fn replay(args: &Args) -> Result<String, CliFailure> {
 }
 
 /// Builds the happens-before auditor for a protocol (used by
-/// `cil replay --audit`).
-fn trace_auditor_one<P: Protocol + 'static>(
-    protocol: &P,
-    _args: &Args,
-) -> Result<TraceAuditor, String> {
-    Ok(TraceAuditor::for_protocol(protocol))
+/// `cil replay --audit` and `cil conc replay --audit`).
+fn trace_auditor<P: Protocol, C>(protocol: &P, _codec: &C) -> TraceAuditor {
+    TraceAuditor::for_protocol(protocol)
 }
 
-/// How far the symbolic walk explores protocols with unbounded counters
-/// (the §5 `num` field): enough to exercise every program location several
-/// times while keeping `cil audit all` instant.
-const UNBOUNDED_WALK_STATES: usize = 600;
-
-/// Audits one protocol spec. Each protocol supplies its own packer so the
-/// width-bound check (b) sees the same encoding `cil threads` executes on.
-fn audit_one(spec: &str) -> Result<AuditReport, String> {
-    Ok(match spec {
-        "two" => Auditor::new(&TwoProcessor::new()).with_packable().run(),
-        "fig2" => Auditor::new(&NUnbounded::three())
-            .with_packable()
-            .with_max_states(UNBOUNDED_WALK_STATES)
-            .run(),
-        "fig2-literal" => Auditor::new(&NUnbounded::literal_fig2(3))
-            .with_packable()
-            .with_max_states(UNBOUNDED_WALK_STATES)
-            .run(),
-        "fig2-1w1r" => Auditor::new(&NUnbounded1W1R::three())
-            .with_packable()
-            .with_max_states(UNBOUNDED_WALK_STATES)
-            .run(),
-        "fig3" => Auditor::new(&ThreeBounded::new()).with_packable().run(),
-        "naive" => Auditor::new(&Naive::new(3)).with_packable().run(),
-        s if s.starts_with("det:") => {
-            let rule = parse_rule(&s["det:".len()..])?;
-            Auditor::new(&DetTwo::new(rule)).with_packable().run()
+/// Audits one protocol, or lints it when the subcommand is `lint`. The walk
+/// takes its budget and inputs from the spec and checks register widths
+/// against the codec the hardware backends store words with, so the lint
+/// verdicts describe exactly the graph the audit walked. Returns the
+/// verdict and the rendered report.
+fn static_one<P, C>(protocol: &P, codec: &C, spec: AuditSpec, args: &Args) -> (bool, String)
+where
+    P: Protocol,
+    C: WordCodec<P::Reg>,
+{
+    let mut auditor = Auditor::new(protocol).with_codec(codec);
+    if let Some(states) = spec.walk_budget() {
+        auditor = auditor.with_max_states(states);
+    }
+    if let Some(inputs) = spec.audit_inputs() {
+        auditor = auditor.with_inputs(inputs);
+    }
+    let json = args.flag("json");
+    if args.command != "lint" {
+        let report = auditor.run();
+        let text = if json {
+            format!("{}\n", report.to_json())
+        } else {
+            report.render()
+        };
+        return (report.ok(), text);
+    }
+    let (report, table) = lint_with_footprints(&auditor);
+    let mut text = if json {
+        format!("{}\n", report.to_json())
+    } else {
+        report.render()
+    };
+    if args.flag("footprints") {
+        if json {
+            text.push_str(&table.to_json());
+            text.push('\n');
+        } else {
+            text.push('\n');
+            text.push_str(&table.render());
         }
-        s if s.starts_with("n:") => {
-            let n: usize = s[2..]
-                .parse()
-                .map_err(|_| format!("bad processor count in '{s}'"))?;
-            Auditor::new(&NUnbounded::new(n))
-                .with_packable()
-                .with_max_states(UNBOUNDED_WALK_STATES)
-                .run()
-        }
-        s if s.starts_with("kvalued:") => {
-            let k: u64 = s["kvalued:".len()..]
-                .parse()
-                .map_err(|_| format!("bad k in '{s}'"))?;
-            // KReg cannot implement Packable (Inner/Cand words are
-            // ambiguous on unpack), so the packer is supplied by hand:
-            // the same encoding the register specs' widths were sized for.
-            Auditor::new(&KValued::new(TwoProcessor::new(), k))
-                .with_inputs((0..k.max(2)).map(Val))
-                .with_packer(|r: &KReg<cil_core::two::TwoReg>| match r {
-                    KReg::Inner(inner) => inner.pack(),
-                    KReg::Cand(c) => c.map_or(0, |v| v + 1),
-                })
-                .run()
-        }
-        s if s.starts_with("mutant:") => {
-            let key = &s["mutant:".len()..];
-            if let Some(kind) = MutantKind::parse(key) {
-                Auditor::new(&MutantTwo::new(kind)).with_packable().run()
-            } else if let Some(kind) = LintMutant::parse(key) {
-                Auditor::new(&LintMutantTwo::new(kind))
-                    .with_packable()
-                    .run()
-            } else {
-                return Err(unknown_mutant(s));
-            }
-        }
-        other => return Err(format!("unknown protocol '{other}' (see cil help)")),
-    })
+    }
+    (report.ok(), text)
 }
 
-/// The error for an unrecognized `mutant:<M>` spec, listing both mutant
-/// families (model mutants and lint mutants).
-fn unknown_mutant(spec: &str) -> String {
-    format!(
-        "unknown mutant in '{spec}' (one of: {} | {})",
-        MutantKind::all().map(|k| k.key()).join(" | "),
-        LintMutant::all().map(|k| k.key()).join(" | ")
-    )
-}
-
-/// The specs `cil audit all` covers: every built-in protocol family,
-/// including a Theorem 4 deterministic victim and the k-valued composite.
-const AUDIT_ALL: &[&str] = &[
-    "two",
-    "fig2",
-    "fig2-literal",
-    "fig2-1w1r",
-    "fig3",
-    "naive",
-    "det:always-adopt",
-    "n:4",
-    "kvalued:4",
-];
-
-/// `cil audit [<P>|all|mutant:<M>]` — static model-compliance analysis.
+/// `cil audit [<P>|all|mutant:<M>] [--json]` — static model-compliance
+/// analysis; `cil lint [<P>|all|mutant:<M>] [--json] [--footprints]` —
+/// dataflow lints over the same symbolic transition graph.
 ///
 /// # Errors
 ///
 /// [`CliFailure::Audit`] (exit 1) when any audited protocol violates a
-/// model clause; [`CliFailure::Usage`] (exit 2) for unknown specs.
+/// model clause, or any linted protocol has findings;
+/// [`CliFailure::Usage`] (exit 2) for unknown specs.
 pub fn audit(args: &Args) -> Result<String, CliFailure> {
     let spec = args
         .pos(0)
         .or_else(|| args.get("protocol"))
-        .unwrap_or("all")
-        .to_string();
-    let specs: Vec<&str> = if spec == "all" {
-        AUDIT_ALL.to_vec()
+        .unwrap_or("all");
+    let specs = if spec == "all" {
+        AUDIT_ALL
     } else {
-        vec![spec.as_str()]
+        std::slice::from_ref(&spec)
     };
     let json = args.flag("json");
     let mut out = String::new();
@@ -665,21 +597,20 @@ pub fn audit(args: &Args) -> Result<String, CliFailure> {
         if i > 0 && !json {
             out.push('\n');
         }
-        let report = audit_one(s).map_err(CliFailure::Usage)?;
-        if !report.ok() {
-            failed += 1;
-        }
-        if json {
-            out.push_str(&report.to_json());
-            out.push('\n');
-        } else {
-            out.push_str(&report.render());
-        }
+        let spec = AuditSpec::parse(s)?;
+        let (ok, text) = with_audit_spec!(spec, static_one(spec, args));
+        failed += usize::from(!ok);
+        out.push_str(&text);
     }
     if specs.len() > 1 && !json {
+        let verdict = if args.command == "lint" {
+            "are lint-clean"
+        } else {
+            "pass the model-compliance audit"
+        };
         let _ = writeln!(
             out,
-            "\n{}/{} protocols pass the model-compliance audit",
+            "\n{}/{} protocols {verdict}",
             specs.len() - failed,
             specs.len()
         );
@@ -691,222 +622,20 @@ pub fn audit(args: &Args) -> Result<String, CliFailure> {
     }
 }
 
-/// Lints one protocol spec, returning the report together with the
-/// footprint table the passes were computed from. Same construction as
-/// [`audit_one`] (same inputs, budgets and packers), so the lint verdicts
-/// describe exactly the graph the audit walked.
-fn lint_one(spec: &str) -> Result<(LintReport, FootprintTable), String> {
-    Ok(match spec {
-        "two" => lint_with_footprints(&Auditor::new(&TwoProcessor::new()).with_packable()),
-        "fig2" => lint_with_footprints(
-            &Auditor::new(&NUnbounded::three())
-                .with_packable()
-                .with_max_states(UNBOUNDED_WALK_STATES),
-        ),
-        "fig2-literal" => lint_with_footprints(
-            &Auditor::new(&NUnbounded::literal_fig2(3))
-                .with_packable()
-                .with_max_states(UNBOUNDED_WALK_STATES),
-        ),
-        "fig2-1w1r" => lint_with_footprints(
-            &Auditor::new(&NUnbounded1W1R::three())
-                .with_packable()
-                .with_max_states(UNBOUNDED_WALK_STATES),
-        ),
-        "fig3" => lint_with_footprints(&Auditor::new(&ThreeBounded::new()).with_packable()),
-        "naive" => lint_with_footprints(&Auditor::new(&Naive::new(3)).with_packable()),
-        s if s.starts_with("det:") => {
-            let rule = parse_rule(&s["det:".len()..])?;
-            lint_with_footprints(&Auditor::new(&DetTwo::new(rule)).with_packable())
-        }
-        s if s.starts_with("n:") => {
-            let n: usize = s[2..]
-                .parse()
-                .map_err(|_| format!("bad processor count in '{s}'"))?;
-            lint_with_footprints(
-                &Auditor::new(&NUnbounded::new(n))
-                    .with_packable()
-                    .with_max_states(UNBOUNDED_WALK_STATES),
-            )
-        }
-        s if s.starts_with("kvalued:") => {
-            let k: u64 = s["kvalued:".len()..]
-                .parse()
-                .map_err(|_| format!("bad k in '{s}'"))?;
-            lint_with_footprints(
-                &Auditor::new(&KValued::new(TwoProcessor::new(), k))
-                    .with_inputs((0..k.max(2)).map(Val))
-                    .with_packer(|r: &KReg<cil_core::two::TwoReg>| match r {
-                        KReg::Inner(inner) => inner.pack(),
-                        KReg::Cand(c) => c.map_or(0, |v| v + 1),
-                    }),
-            )
-        }
-        s if s.starts_with("mutant:") => {
-            let key = &s["mutant:".len()..];
-            if let Some(kind) = LintMutant::parse(key) {
-                lint_with_footprints(&Auditor::new(&LintMutantTwo::new(kind)).with_packable())
-            } else if let Some(kind) = MutantKind::parse(key) {
-                lint_with_footprints(&Auditor::new(&MutantTwo::new(kind)).with_packable())
-            } else {
-                return Err(unknown_mutant(s));
-            }
-        }
-        other => return Err(format!("unknown protocol '{other}' (see cil help)")),
-    })
-}
-
-/// `cil lint [<P>|all|mutant:<M>] [--json] [--footprints]` — dataflow lints
-/// over the symbolic transition graph.
-///
-/// # Errors
-///
-/// [`CliFailure::Audit`] (exit 1) when any linted protocol has findings;
-/// [`CliFailure::Usage`] (exit 2) for unknown specs.
-pub fn lint(args: &Args) -> Result<String, CliFailure> {
-    let spec = args
-        .pos(0)
-        .or_else(|| args.get("protocol"))
-        .unwrap_or("all")
-        .to_string();
-    let specs: Vec<&str> = if spec == "all" {
-        AUDIT_ALL.to_vec()
-    } else {
-        vec![spec.as_str()]
-    };
-    let json = args.flag("json");
-    let want_footprints = args.flag("footprints");
-    let mut out = String::new();
-    let mut failed = 0usize;
-    for (i, s) in specs.iter().enumerate() {
-        if i > 0 && !json {
-            out.push('\n');
-        }
-        let (report, table) = lint_one(s).map_err(CliFailure::Usage)?;
-        if !report.ok() {
-            failed += 1;
-        }
-        if json {
-            out.push_str(&report.to_json());
-            out.push('\n');
-            if want_footprints {
-                out.push_str(&table.to_json());
-                out.push('\n');
-            }
-        } else {
-            out.push_str(&report.render());
-            if want_footprints {
-                out.push('\n');
-                out.push_str(&table.render());
-            }
-        }
-    }
-    if specs.len() > 1 && !json {
-        let _ = writeln!(
-            out,
-            "\n{}/{} protocols are lint-clean",
-            specs.len() - failed,
-            specs.len()
-        );
-    }
-    if failed > 0 {
-        Err(CliFailure::Audit(out))
-    } else {
-        Ok(out)
-    }
-}
-
-macro_rules! with_prove_protocol {
-    ($spec:expr, $args:expr, $f:ident) => {{
-        let spec: &str = $spec;
-        let args = $args;
-        match spec {
-            "two" => $f(&TwoProcessor::new(), &PackCodec, args),
-            "fig2" => $f(&NUnbounded::three(), &PackCodec, args),
-            "fig2-literal" => $f(&NUnbounded::literal_fig2(3), &PackCodec, args),
-            "fig2-1w1r" => $f(&NUnbounded1W1R::three(), &PackCodec, args),
-            "fig3" => $f(&ThreeBounded::new(), &PackCodec, args),
-            "naive" => $f(&Naive::new(2), &PackCodec, args),
-            "mutant:racy" => $f(&RacyTwo::default(), &PackCodec, args),
-            s if s.starts_with("det:") => {
-                let rule = parse_rule(&s["det:".len()..]).map_err(CliFailure::Usage)?;
-                $f(&DetTwo::new(rule), &PackCodec, args)
-            }
-            s if s.starts_with("n:") => {
-                let n: usize = s[2..]
-                    .parse()
-                    .map_err(|_| CliFailure::Usage(format!("bad processor count in '{s}'")))?;
-                $f(&NUnbounded::new(n), &PackCodec, args)
-            }
-            s if s.starts_with("kvalued:") => {
-                let k: u64 = s["kvalued:".len()..]
-                    .parse()
-                    .map_err(|_| CliFailure::Usage(format!("bad k in '{s}'")))?;
-                let p = KValued::new(TwoProcessor::new(), k);
-                let codec = KRegCodec::for_protocol(&p);
-                $f(&p, &codec, args)
-            }
-            other => Err(CliFailure::Usage(format!(
-                "unknown protocol '{other}' (see cil help)"
-            ))),
-        }
-    }};
-}
-
-/// The specs [`prove`] can infer a checked certificate's protocol from, by
-/// matching the `protocol` name embedded in the certificate.
-fn prove_spec_candidates() -> Vec<String> {
-    let mut specs: Vec<String> = [
-        "two",
-        "fig2",
-        "fig2-literal",
-        "fig2-1w1r",
-        "fig3",
-        "naive",
-        "mutant:racy",
-    ]
-    .map(String::from)
-    .to_vec();
-    specs.extend((2..=8).map(|n| format!("n:{n}")));
-    specs.extend((2..=8).map(|k| format!("kvalued:{k}")));
-    for rule in [
-        "always-adopt",
-        "always-keep",
-        "adopt-if-greater",
-        "alternate",
-    ] {
-        specs.push(format!("det:{rule}"));
-    }
-    specs
-}
-
-/// `Protocol::name()` of a prove spec, used to map certificates back to
-/// protocol instances.
-fn prove_proto_name<P, C>(protocol: &P, _codec: &C, _args: &Args) -> Result<String, CliFailure>
-where
-    P: Protocol + Sync,
-    P::Reg: Send + Sync,
-    C: WordCodec<P::Reg>,
-{
-    Ok(protocol.name())
-}
-
-/// Resolves a prove spec to its protocol's display name.
-fn prove_spec_name(spec: &str, args: &Args) -> Result<String, CliFailure> {
-    with_prove_protocol!(spec, args, prove_proto_name)
+/// `Protocol::name()` of the protocol a spec builds.
+fn protocol_name<P: Protocol, C>(protocol: &P, _codec: &C) -> String {
+    protocol.name()
 }
 
 /// Runs [`check_certificate`] for one protocol instance against the
-/// certificate text passed through `--check-cert` (re-read here).
-fn prove_check_one<P, C>(protocol: &P, _codec: &C, args: &Args) -> Result<String, CliFailure>
-where
-    P: Protocol + Sync,
-    P::Reg: Send + Sync,
-    C: WordCodec<P::Reg>,
-{
-    let path = args.get("check-cert").expect("caller checked");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    match check_certificate(protocol, &text) {
+/// certificate text read from `--check-cert`.
+fn prove_check_one<P: Protocol, C>(
+    protocol: &P,
+    _codec: &C,
+    text: &str,
+) -> Result<String, CliFailure> {
+    fits_active_mask(protocol)?;
+    match check_certificate(protocol, text) {
         Ok(check) => Ok(format!("{check}\n")),
         Err(e) => Err(CliFailure::Audit(format!(
             "certificate check FAILED: {e}\n"
@@ -918,21 +647,18 @@ where
 /// input assignment, safety checked at every insertion. On REFUTED the
 /// counterexample schedule is replayed on native threads (best-effort) and
 /// ddmin-shrunk when it reproduces.
-fn prove_run<P, C>(protocol: &P, codec: &C, args: &Args) -> Result<String, CliFailure>
+fn prove_run<P, C>(
+    protocol: &P,
+    codec: &C,
+    domain: Vec<Val>,
+    args: &Args,
+) -> Result<String, CliFailure>
 where
     P: Protocol + Sync,
     P::Reg: Send + Sync,
     C: WordCodec<P::Reg>,
 {
-    let domain = match args.get("domain") {
-        Some(d) => parse_inputs(d)?,
-        None => vec![Val::A, Val::B],
-    };
-    if domain.is_empty() {
-        return Err(CliFailure::Usage(
-            "--domain needs at least one value".into(),
-        ));
-    }
+    fits_active_mask(protocol)?;
     let max_configs = args.get_u64("max-configs", 262_144)? as usize;
     let report = Prover::new(protocol)
         .with_domain(domain)
@@ -1013,51 +739,53 @@ where
 /// specs, unreadable files, or `--cert` without a PROVED result.
 pub fn prove(args: &Args) -> Result<String, CliFailure> {
     let explicit = args.pos(0).or_else(|| args.get("protocol"));
-    if let Some(path) = args.get("check-cert") {
-        let spec = match explicit {
-            Some(s) => s.to_string(),
-            None => {
-                // Infer the protocol from the certificate's embedded name.
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read '{path}': {e}"))?;
-                let node = json::parse_value(&text)
-                    .map_err(|e| format!("malformed certificate JSON: {e}"))?;
-                let name = node
-                    .as_obj()
-                    .and_then(|o| o.get("protocol"))
-                    .and_then(json::Node::as_str)
-                    .ok_or_else(|| "certificate has no protocol field".to_string())?
-                    .to_string();
-                prove_spec_candidates()
-                    .into_iter()
-                    .find(|s| prove_spec_name(s, args).is_ok_and(|n| n == name))
-                    .ok_or_else(|| {
-                        CliFailure::Usage(format!(
-                            "cannot map certificate protocol '{name}' to a spec; pass it \
-                             explicitly: cil prove --check-cert {path} <P>"
-                        ))
-                    })?
-            }
+    let Some(path) = args.get("check-cert") else {
+        let spec = ProtocolSpec::parse(explicit.unwrap_or("two"), None)?;
+        let domain = match args.get("domain") {
+            Some(d) => parse_inputs(d)?,
+            None => vec![Val::A, Val::B],
         };
-        return with_prove_protocol!(spec.as_str(), args, prove_check_one);
-    }
-    with_prove_protocol!(explicit.unwrap_or("two"), args, prove_run)
+        if domain.is_empty() {
+            return Err(CliFailure::Usage(
+                "--domain needs at least one value".into(),
+            ));
+        }
+        spec.check_values("--domain", &domain)?;
+        return with_spec!(spec, prove_run(domain, args));
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
+    let spec = match explicit {
+        Some(s) => ProtocolSpec::parse(s, None)?,
+        None => {
+            // Infer the protocol from the certificate's embedded name.
+            let node =
+                json::parse_value(&text).map_err(|e| format!("malformed certificate JSON: {e}"))?;
+            let name = node
+                .as_obj()
+                .and_then(|o| o.get("protocol"))
+                .and_then(json::Node::as_str)
+                .ok_or_else(|| "certificate has no protocol field".to_string())?;
+            cert_candidates()
+                .iter()
+                .filter_map(|s| ProtocolSpec::parse(s, None).ok())
+                .find(|spec| with_spec!(*spec, protocol_name()) == name)
+                .ok_or_else(|| {
+                    format!(
+                        "cannot map certificate protocol '{name}' to a spec; pass it \
+                         explicitly: cil prove --check-cert {path} <P>"
+                    )
+                })?
+        }
+    };
+    with_spec!(spec, prove_check_one(&text))
 }
 
-fn sweep_one<P: Protocol + Sync + 'static>(protocol: &P, args: &Args) -> Result<String, String>
-where
-    P::State: 'static,
-    P::Reg: 'static,
-{
-    let inputs = parse_inputs(args.get_or("inputs", ""))?;
-    if inputs.len() != protocol.processes() {
-        return Err(format!(
-            "--inputs: expected {} values for {}, got {}",
-            protocol.processes(),
-            protocol.name(),
-            inputs.len()
-        ));
-    }
+fn sweep_one<P: Protocol + Sync + 'static, C>(
+    protocol: &P,
+    _codec: &C,
+    args: &Args,
+) -> Result<String, String> {
+    let inputs = inputs_for(protocol, args)?;
     let trials = args.get_u64("trials", 1_000)?;
     let root_seed = args.get_u64("seed", 0)?;
     let max_steps = args.get_u64("max-steps", 1_000_000)?;
@@ -1143,7 +871,7 @@ where
                  --adversary {spec} --seed {seed} --max-steps {max_steps} --trace",
                 f.trial,
                 f.kind,
-                conc_protocol_spec(args),
+                args.get_or("protocol", "two"),
                 args.get_or("inputs", ""),
             );
         }
@@ -1154,23 +882,17 @@ where
 /// `cil sweep` — parallel Monte-Carlo trial sweep; results are a pure
 /// function of `(--seed, --trials)`, independent of `--jobs`.
 pub fn sweep(args: &Args) -> Result<String, String> {
-    with_protocol!(args, sweep_one)
+    with_spec!(protocol_arg(args)?, sweep_one(args))
 }
 
-fn check_one<P>(protocol: &P, args: &Args) -> Result<String, String>
+fn check_one<P, C>(protocol: &P, _codec: &C, args: &Args) -> Result<String, String>
 where
     P: Symmetric + Sync,
     P::State: Send + Sync,
     P::Reg: Send + Sync,
 {
-    let inputs = parse_inputs(args.get_or("inputs", ""))?;
-    if inputs.len() != protocol.processes() {
-        return Err(format!(
-            "--inputs: expected {} values, got {}",
-            protocol.processes(),
-            inputs.len()
-        ));
-    }
+    fits_active_mask(protocol)?;
+    let inputs = inputs_for(protocol, args)?;
     let depth = args.get_u64("depth", 10)? as usize;
     let max_configs = args.get_u64("max-configs", 3_000_000)? as usize;
     let jobs = args.get_u64("jobs", 0)? as usize;
@@ -1283,7 +1005,7 @@ where
 
 /// `cil check` — exhaustive bounded safety check.
 pub fn check(args: &Args) -> Result<String, String> {
-    with_protocol!(args, check_one)
+    with_spec!(protocol_arg(args)?, check_one(args))
 }
 
 /// `cil mdp` — exact Theorem 7 analysis of the two-processor protocol.
@@ -1292,6 +1014,12 @@ pub fn check(args: &Args) -> Result<String, String> {
 /// `--compat-dense` switches to the original dense solver (identical
 /// numbers, more enumerated states).
 pub fn mdp(args: &Args) -> Result<String, String> {
+    if let Some(other) = args.get("protocol").filter(|p| *p != "two") {
+        return Err(format!(
+            "--protocol {other}: the mdp command analyses Fig. 1 (two) only; \
+             use cil survival --protocol {other} for other protocols"
+        ));
+    }
     let inputs = parse_inputs(args.get_or("inputs", "a,b"))?;
     if inputs.len() != 2 {
         return Err("--inputs: the mdp command analyses the 2-processor protocol".into());
@@ -1413,16 +1141,9 @@ pub fn mdp(args: &Args) -> Result<String, String> {
     Ok(s)
 }
 
-fn survival_one<P: Symmetric>(protocol: &P, args: &Args) -> Result<String, String> {
-    let inputs = parse_inputs(args.get_or("inputs", ""))?;
-    if inputs.len() != protocol.processes() {
-        return Err(format!(
-            "--inputs: expected {} values for {}, got {}",
-            protocol.processes(),
-            protocol.name(),
-            inputs.len()
-        ));
-    }
+fn survival_one<P: Symmetric, C>(protocol: &P, _codec: &C, args: &Args) -> Result<String, String> {
+    fits_active_mask(protocol)?;
+    let inputs = inputs_for(protocol, args)?;
     let target = args.get_u64("target", 0)? as usize;
     if target >= protocol.processes() {
         return Err(format!(
@@ -1511,18 +1232,7 @@ fn survival_one<P: Symmetric>(protocol: &P, args: &Args) -> Result<String, Strin
 /// `--compat-dense`). Protocols with infinite reachable spaces (`fig2`,
 /// `fig3`, `n:<count>`) need `--depth`.
 pub fn survival(args: &Args) -> Result<String, String> {
-    with_protocol!(args, survival_one)
-}
-
-/// Parses a deterministic-rule name (shared by `theorem4` and `audit`).
-fn parse_rule(name: &str) -> Result<DetRule, String> {
-    match name {
-        "always-adopt" => Ok(DetRule::AlwaysAdopt),
-        "always-keep" => Ok(DetRule::AlwaysKeep),
-        "adopt-if-greater" => Ok(DetRule::AdoptIfGreater),
-        "alternate" => Ok(DetRule::Alternate),
-        other => Err(format!("unknown rule '{other}' (see cil help)")),
-    }
+    with_spec!(protocol_arg(args)?, survival_one(args))
 }
 
 /// `cil theorem4` — run the impossibility construction.
@@ -1580,21 +1290,15 @@ pub fn elect(args: &Args) -> Result<String, String> {
     Ok(s)
 }
 
-fn threads_one<P>(protocol: &P, args: &Args) -> Result<String, String>
+fn threads_one<P, C>(protocol: &P, codec: &C, args: &Args) -> Result<String, String>
 where
     P: Protocol + Sync,
-    P::Reg: Packable + Send + Sync,
+    P::Reg: Send + Sync,
+    C: WordCodec<P::Reg>,
 {
-    let inputs = parse_inputs(args.get_or("inputs", ""))?;
-    if inputs.len() != protocol.processes() {
-        return Err(format!(
-            "--inputs: expected {} values, got {}",
-            protocol.processes(),
-            inputs.len()
-        ));
-    }
+    let inputs = inputs_for(protocol, args)?;
     let seed = args.get_u64("seed", 0)?;
-    let out = run_on_threads(protocol, &inputs, seed, 5_000_000);
+    let out = run_on_threads_gated(protocol, &inputs, seed, 5_000_000, codec, &FreeGate);
     Ok(format!(
         "{} on {} OS threads over AtomicU64 registers\n\
          decisions: {:?}   steps: {:?}   coin flips: {:?}\nagreed: {:?}\n",
@@ -1607,76 +1311,9 @@ where
     ))
 }
 
-/// `cil threads` — run on real OS threads (word-packable protocols only).
+/// `cil threads` — run on real OS threads over `AtomicU64` registers.
 pub fn threads(args: &Args) -> Result<String, String> {
-    let spec = args.get_or("protocol", "two");
-    match spec {
-        "two" => threads_one(&TwoProcessor::new(), args),
-        "fig2" => threads_one(&NUnbounded::three(), args),
-        "fig2-1w1r" => threads_one(&NUnbounded1W1R::three(), args),
-        "fig3" => threads_one(&ThreeBounded::new(), args),
-        s if s.starts_with("n:") => {
-            let n: usize = s[2..]
-                .parse()
-                .map_err(|_| format!("bad processor count in '{s}'"))?;
-            threads_one(&NUnbounded::new(n), args)
-        }
-        other => Err(format!(
-            "protocol '{other}' does not support the threads backend \
-             (word-packable registers required)"
-        )),
-    }
-}
-
-/// Like `with_protocol!`, but for the controlled native backend: the
-/// callee also receives the [`WordCodec`] matching the protocol's register
-/// encoding, and the spec space additionally covers `det:<R>` (the
-/// Theorem 4 deterministic victims) and `mutant:racy` (the planted
-/// interleaving-sensitive consistency bug).
-macro_rules! with_conc_protocol {
-    ($args:expr, $f:ident) => {{
-        let args = $args;
-        let spec = conc_protocol_spec(args);
-        let n_inputs = parse_inputs(args.get_or("inputs", ""))?.len();
-        match spec {
-            "two" => $f(&TwoProcessor::new(), &PackCodec, args),
-            "fig2" => $f(&NUnbounded::three(), &PackCodec, args),
-            "fig2-literal" => $f(&NUnbounded::literal_fig2(3), &PackCodec, args),
-            "fig2-1w1r" => $f(&NUnbounded1W1R::three(), &PackCodec, args),
-            "fig3" => $f(&ThreeBounded::new(), &PackCodec, args),
-            "naive" => $f(&Naive::new(n_inputs.max(2)), &PackCodec, args),
-            "mutant:racy" => $f(&RacyTwo::default(), &PackCodec, args),
-            s if s.starts_with("det:") => {
-                let rule = parse_rule(&s["det:".len()..])?;
-                $f(&DetTwo::new(rule), &PackCodec, args)
-            }
-            s if s.starts_with("n:") => {
-                let n: usize = s[2..]
-                    .parse()
-                    .map_err(|_| format!("bad processor count in '{s}'"))?;
-                $f(&NUnbounded::new(n), &PackCodec, args)
-            }
-            s if s.starts_with("kvalued:") => {
-                let k: u64 = s["kvalued:".len()..]
-                    .parse()
-                    .map_err(|_| format!("bad k in '{s}'"))?;
-                // KReg has no uniform Packable encoding; the per-register
-                // codec mirrors the audit packer (None -> 0, Some(v) -> v+1).
-                if n_inputs <= 2 {
-                    let p = KValued::new(TwoProcessor::new(), k);
-                    let codec = KRegCodec::for_protocol(&p);
-                    $f(&p, &codec, args)
-                } else {
-                    let p = KValued::new(NUnbounded::new(n_inputs), k);
-                    let codec = KRegCodec::for_protocol(&p);
-                    $f(&p, &codec, args)
-                }
-            }
-            other => Err(CliFailure::Usage(format!(
-                "unknown protocol '{other}' (see cil help)"
-            ))),
-        }
-    }};
+    with_spec!(protocol_arg(args)?, threads_one(args))
 }
 
 /// `cil conc stress|replay|shrink|explore` — controlled native-thread
@@ -1690,11 +1327,12 @@ macro_rules! with_conc_protocol {
 /// trace anomalies, or when `conc explore` finds a safety violation or a
 /// cross-check divergence; [`CliFailure::Usage`] (exit 2) otherwise.
 pub fn conc(args: &Args) -> Result<String, CliFailure> {
+    let spec = || ProtocolSpec::from_args(conc_protocol_spec(args), args);
     match args.pos(0) {
-        Some("stress") => with_conc_protocol!(args, conc_stress_one),
+        Some("stress") => with_spec!(spec()?, conc_stress_one(args)),
         Some("replay") => conc_replay(args),
-        Some("shrink") => with_conc_protocol!(args, conc_shrink_one),
-        Some("explore") => with_conc_protocol!(args, conc_explore_one),
+        Some("shrink") => with_spec!(spec()?, conc_shrink_one(args)),
+        Some("explore") => with_spec!(spec()?, conc_explore_one(args)),
         Some(other) => Err(CliFailure::Usage(format!(
             "unknown conc subcommand '{other}' (one of: stress | replay | shrink | explore)"
         ))),
@@ -1720,79 +1358,40 @@ fn serve_protocol_spec(args: &Args) -> &str {
         .unwrap_or("two")
 }
 
-/// Like [`with_conc_protocol!`] minus the planted mutant: dispatches the
-/// serve engine over every built-in protocol spec with the word codec
-/// matching its register encoding.
-macro_rules! with_serve_protocol {
-    ($args:expr, $f:ident) => {{
-        let args = $args;
-        let spec = serve_protocol_spec(args);
-        let n_inputs = parse_inputs(args.get_or("inputs", ""))?.len();
-        match spec {
-            "two" => $f(&TwoProcessor::new(), &PackCodec, args),
-            "fig2" => $f(&NUnbounded::three(), &PackCodec, args),
-            "fig2-literal" => $f(&NUnbounded::literal_fig2(3), &PackCodec, args),
-            "fig2-1w1r" => $f(&NUnbounded1W1R::three(), &PackCodec, args),
-            "fig3" => $f(&ThreeBounded::new(), &PackCodec, args),
-            "naive" => $f(&Naive::new(n_inputs.max(2)), &PackCodec, args),
-            s if s.starts_with("det:") => {
-                let rule = parse_rule(&s["det:".len()..])?;
-                $f(&DetTwo::new(rule), &PackCodec, args)
-            }
-            s if s.starts_with("n:") => {
-                let n: usize = s[2..]
-                    .parse()
-                    .map_err(|_| format!("bad processor count in '{s}'"))?;
-                $f(&NUnbounded::new(n), &PackCodec, args)
-            }
-            s if s.starts_with("kvalued:") => {
-                let k: u64 = s["kvalued:".len()..]
-                    .parse()
-                    .map_err(|_| format!("bad k in '{s}'"))?;
-                if n_inputs <= 2 {
-                    let p = KValued::new(TwoProcessor::new(), k);
-                    let codec = KRegCodec::for_protocol(&p);
-                    $f(&p, &codec, args)
-                } else {
-                    let p = KValued::new(NUnbounded::new(n_inputs), k);
-                    let codec = KRegCodec::for_protocol(&p);
-                    $f(&p, &codec, args)
-                }
-            }
-            other => Err(format!("unknown protocol '{other}' (see cil help)")),
-        }
-    }};
-}
-
 /// `cil serve` — run consensus instances to decision at scale over the
 /// hardware register backend and report throughput + latency percentiles.
 pub fn serve(args: &Args) -> Result<String, String> {
-    with_serve_protocol!(args, serve_one)
+    with_spec!(
+        ProtocolSpec::from_args(serve_protocol_spec(args), args)?,
+        serve_one(args)
+    )
 }
 
 /// Picks the admission limit from `--instances` / `--duration` /
-/// `--target-decisions` (mutually exclusive; default 100 000 instances).
+/// `--target-decisions` (mutually exclusive, at least 1; default 100 000
+/// instances).
 fn serve_limit(args: &Args) -> Result<ServeLimit, String> {
-    let given = ["instances", "duration", "target-decisions"]
-        .iter()
+    let given: Vec<&str> = ["instances", "duration", "target-decisions"]
+        .into_iter()
         .filter(|k| args.get(k).is_some())
-        .count();
-    if given > 1 {
+        .collect();
+    if given.len() > 1 {
         return Err(
             "pick one of --instances, --duration, --target-decisions (they are \
              mutually exclusive admission limits)"
                 .into(),
         );
     }
-    if args.get("duration").is_some() {
-        return Ok(ServeLimit::Duration(std::time::Duration::from_millis(
-            args.get_u64("duration", 0)?,
-        )));
+    let key = given.first().copied().unwrap_or("instances");
+    let limit = args.get_u64(key, 100_000)?;
+    if limit == 0 {
+        return Err(format!("--{key} must be at least 1"));
     }
-    if args.get("target-decisions").is_some() {
-        return Ok(ServeLimit::Decisions(args.get_u64("target-decisions", 0)?));
-    }
-    Ok(ServeLimit::Instances(args.get_u64("instances", 100_000)?))
+    Ok(match key {
+        "duration" => ServeLimit::Duration(std::time::Duration::from_millis(limit)),
+        "target-decisions" => ServeLimit::Decisions(limit),
+        _ => ServeLimit::Instances(limit),
+    })
 }
 
 fn serve_one<P, C>(protocol: &P, codec: &C, args: &Args) -> Result<String, String>
@@ -1802,18 +1401,7 @@ where
     C: WordCodec<P::Reg>,
 {
     let inputs = match args.get("inputs") {
-        Some(text) => {
-            let inputs = parse_inputs(text)?;
-            if inputs.len() != protocol.processes() {
-                return Err(format!(
-                    "--inputs: expected {} values for {}, got {}",
-                    protocol.processes(),
-                    protocol.name(),
-                    inputs.len()
-                ));
-            }
-            inputs
-        }
+        Some(_) => inputs_for(protocol, args)?,
         // Default load: alternating inputs, so both decision values show up.
         None => (0..protocol.processes())
             .map(|i| if i % 2 == 0 { Val::A } else { Val::B })
@@ -1955,26 +1543,13 @@ fn conc_config(args: &Args) -> Result<StressConfig, CliFailure> {
     })
 }
 
-fn conc_check_arity<P: Protocol>(protocol: &P, inputs: &[Val]) -> Result<(), CliFailure> {
-    if inputs.len() != protocol.processes() {
-        return Err(CliFailure::Usage(format!(
-            "--inputs: expected {} values for {}, got {}",
-            protocol.processes(),
-            protocol.name(),
-            inputs.len()
-        )));
-    }
-    Ok(())
-}
-
 fn conc_stress_one<P, C>(protocol: &P, codec: &C, args: &Args) -> Result<String, CliFailure>
 where
     P: Protocol + Sync,
     P::Reg: Send + Sync,
     C: WordCodec<P::Reg>,
 {
-    let inputs = parse_inputs(args.get_or("inputs", ""))?;
-    conc_check_arity(protocol, &inputs)?;
+    let inputs = inputs_for(protocol, args)?;
     let cfg = conc_config(args)?;
     let metrics_out = args.get("metrics-out");
     let timings = timings_flag(args)?;
@@ -2201,10 +1776,11 @@ fn conc_replay(args: &Args) -> Result<String, CliFailure> {
         schedule.join(","),
     ];
     let inner = Args::parse(tokens, &[])?;
+    let spec = ProtocolSpec::from_args(protocol, &inner)?;
 
     let mut audit_section = String::new();
     if args.flag("audit") {
-        let auditor = with_conc_protocol!(&inner, conc_auditor_one)?;
+        let auditor = with_spec!(spec, trace_auditor());
         let report = auditor.audit_jsonl(&captured.join("\n"))?;
         audit_section = report.render();
         if !report.ok() {
@@ -2214,7 +1790,7 @@ fn conc_replay(args: &Args) -> Result<String, CliFailure> {
         }
     }
 
-    let regenerated = with_conc_protocol!(&inner, conc_capture_one)?;
+    let regenerated = with_spec!(spec, conc_capture_one(&inner))?;
     let regen: Vec<&str> = regenerated.lines().collect();
     for (i, (a, b)) in captured.iter().zip(&regen).enumerate() {
         if a != b {
@@ -2244,21 +1820,6 @@ fn conc_replay(args: &Args) -> Result<String, CliFailure> {
     Ok(s)
 }
 
-/// Builds the happens-before auditor for a conc protocol spec (used by
-/// `cil conc replay --audit`).
-fn conc_auditor_one<P, C>(
-    protocol: &P,
-    _codec: &C,
-    _args: &Args,
-) -> Result<TraceAuditor, CliFailure>
-where
-    P: Protocol + Sync,
-    P::Reg: Send + Sync,
-    C: WordCodec<P::Reg>,
-{
-    Ok(TraceAuditor::for_protocol(protocol))
-}
-
 /// Re-runs a protocol under strict replay of a recorded schedule and
 /// returns the regenerated JSONL event body (no meta line).
 fn conc_capture_one<P, C>(protocol: &P, codec: &C, args: &Args) -> Result<String, CliFailure>
@@ -2267,8 +1828,7 @@ where
     P::Reg: Send + Sync,
     C: WordCodec<P::Reg>,
 {
-    let inputs = parse_inputs(args.get_or("inputs", ""))?;
-    conc_check_arity(protocol, &inputs)?;
+    let inputs = inputs_for(protocol, args)?;
     let seed = args.get_u64("seed", 0)?;
     let budget = args.get_u64("budget", 4096)?;
     let schedule = parse_conc_schedule(args.get_or("schedule", ""))?;
@@ -2304,8 +1864,7 @@ where
     P::Reg: Send + Sync,
     C: WordCodec<P::Reg>,
 {
-    let inputs = parse_inputs(args.get_or("inputs", ""))?;
-    conc_check_arity(protocol, &inputs)?;
+    let inputs = inputs_for(protocol, args)?;
     let cfg = conc_config(args)?;
     let trial = args.get_u64("trial", 0)?;
     let (trial_seed, outcome) = rerun_trial_with_codec(protocol, &inputs, codec, &cfg, trial);
@@ -2434,8 +1993,10 @@ where
     P::Reg: Send + Sync,
     C: WordCodec<P::Reg>,
 {
-    let inputs = parse_inputs(args.get_or("inputs", ""))?;
-    conc_check_arity(protocol, &inputs)?;
+    let inputs = inputs_for(protocol, args)?;
+    if args.flag("cross-check") {
+        fits_active_mask(protocol)?;
+    }
     let static_indep = if args.flag("static-indep") {
         // The lint layer's footprint table, walked with this run's inputs,
         // converted to the explorer's dependency-free table. Only a

@@ -32,7 +32,9 @@
 //! ```
 //!
 //! Protocols: `two` (Fig. 1), `fig2` (§5, corrected rule), `fig2-literal`,
-//! `fig2-1w1r`, `fig3` (§6 bounded), `naive`, `n:<count>`, `kvalued:<k>`.
+//! `fig2-1w1r`, `fig3` (§6 bounded), `naive`, `n:<count>`, `kvalued:<k>`,
+//! `det:<rule>` (Theorem 4) and `mutant:<name>` — one grammar for every
+//! subcommand (see `cil help`).
 //! Adversaries: `round-robin`, `random`, `split-keeper`, `laggard`,
 //! `leader`, `alternator`, `lookahead:<h>`, or an explicit schedule like
 //! `"(2,3,3,2,1)"` (one-based, as in the paper).
@@ -42,6 +44,7 @@
 
 pub mod args;
 pub mod commands;
+mod spec;
 
 pub use args::{parse_inputs, Args};
 
@@ -112,8 +115,7 @@ pub fn dispatch_full<I: IntoIterator<Item = String>>(tokens: I) -> Result<String
     match args.command.as_str() {
         "run" => usage(commands::run(&args)),
         "replay" => commands::replay(&args),
-        "audit" => commands::audit(&args),
-        "lint" => commands::lint(&args),
+        "audit" | "lint" => commands::audit(&args),
         "prove" => commands::prove(&args),
         "sweep" => usage(commands::sweep(&args)),
         "check" => usage(commands::check(&args)),

@@ -161,6 +161,9 @@ impl Protocol for RacyTwo {
     }
 }
 
+/// No symmetry elements declared: the planted bug is order-sensitive.
+impl cil_mc::Symmetric for RacyTwo {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -328,8 +328,8 @@ impl ThreeBounded {
             }
         }
         let my_val = my.tag.value();
-        let peer_pos: Vec<u8> = peers.iter().map(|p| pos_of(p).expect("live")).collect();
-        let behind: Vec<i8> = peer_pos.iter().map(|&p| ahead(my.ctr, p)).collect();
+        let peer_pos = peers.map(|p| pos_of(p).expect("live"));
+        let behind = peer_pos.map(|p| ahead(my.ctr, p));
 
         if let Tag::Pref(v) = my.tag {
             // --- A₂ embedding at a boundary ---
@@ -383,22 +383,15 @@ impl ThreeBounded {
             // --- A₃ movement ---
             // T3 (conservative form: histories all "A"/"B" and currently
             // unanimous).
-            let all_runs: Option<Vec<&RunReg>> = if opts.t3 {
-                peers
-                    .iter()
-                    .map(|p| match p {
-                        BReg::Run(r) => Some(r),
-                        _ => None,
-                    })
-                    .collect()
-            } else {
-                None
-            };
-            if let Some(peer_runs) = all_runs {
+            let peer_runs = peers.map(|p| match p {
+                BReg::Run(r) => Some(r),
+                _ => None,
+            });
+            if let (true, [Some(r0), Some(r1)]) = (opts.t3, peer_runs) {
                 for (h, v) in [(Hist::A, Val::A), (Hist::B, Val::B)] {
-                    if my.hist == h
-                        && my_val == v
-                        && peer_runs.iter().all(|r| r.hist == h && r.tag.value() == v)
+                    if [my, r0, r1]
+                        .iter()
+                        .all(|r| r.hist == h && r.tag.value() == v)
                     {
                         return Outcome::Decide(v);
                     }
@@ -421,27 +414,22 @@ impl ThreeBounded {
                 };
             }
             // Plain A₃ advance with the c1/c2 value.
-            let all_pos: Vec<u8> = std::iter::once(my.ctr)
-                .chain(peer_pos.iter().copied())
-                .collect();
+            let all_pos = [my.ctr, peer_pos[0], peer_pos[1]];
             // Circular max: the position no other position is ahead of.
             let maxpos = all_pos
-                .iter()
-                .copied()
+                .into_iter()
                 .find(|&c| all_pos.iter().all(|&d| ahead(d, c) <= 0))
                 .unwrap_or(my.ctr);
-            let mut leader_tags: Vec<Tag> = Vec::new();
-            if my.ctr == maxpos {
-                leader_tags.push(my.tag);
-            }
-            for p in peers {
-                if let BReg::Run(r) = p {
-                    if r.ctr == maxpos {
-                        leader_tags.push(r.tag);
-                    }
+            // At most three leaders: this processor and its two peers.
+            let mut leader_tags = [my.tag; 3];
+            let mut leaders = 0;
+            for r in [Some(my), peer_runs[0], peer_runs[1]].into_iter().flatten() {
+                if r.ctr == maxpos {
+                    leader_tags[leaders] = r.tag;
+                    leaders += 1;
                 }
             }
-            let newv = Self::advance_value(my_val, &leader_tags);
+            let newv = Self::advance_value(my_val, &leader_tags[..leaders]);
             let crossed = is_boundary(my.ctr);
             let hist = if crossed {
                 Self::summarize(saw_a, saw_b)

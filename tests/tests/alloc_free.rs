@@ -1,11 +1,12 @@
 //! Allocation regression tests for the serve hot path.
 //!
-//! PR 9 fixed two allocation bugs: `Choice::sample` collected the branch
-//! weights into a fresh `Vec` on every coin flip, and `NUnbounded::transit`
+//! Three allocation bugs are fixed: `Choice::sample` collected the branch
+//! weights into a fresh `Vec` on every coin flip, `NUnbounded::transit`
 //! built three temporary `Vec`s (maxnum scan, leader collection, agreement
-//! check) on every read step. This binary pins both fixes — and the
-//! serve-engine steady state that depends on them — with a counting global
-//! allocator.
+//! check) on every read step, and `ThreeBounded`'s end-of-phase computation
+//! collected up to five small `Vec`s per phase. This binary pins the fixes —
+//! the serve-engine steady state, and `Runner::run` allocating per run, not
+//! per step — with a counting global allocator.
 //!
 //! The counting allocator is the one place in the workspace that needs
 //! `unsafe` (the `GlobalAlloc` contract); it is confined to this test
@@ -19,10 +20,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cil_core::n_unbounded::NUnbounded;
+use cil_core::three_bounded::ThreeBounded;
 use cil_core::two::TwoProcessor;
 use cil_serve::InstanceSlot;
 use cil_sim::sweep::Trial;
-use cil_sim::{Choice, PackCodec, Protocol, Rng, SplitMix64, Val, Xoshiro256StarStar};
+use cil_sim::{
+    Choice, PackCodec, Protocol, Rng, RoundRobin, Runner, SplitMix64, Val, Xoshiro256StarStar,
+};
+use std::collections::BTreeMap;
 
 /// Counts allocations; frees are uncounted (the steady-state assertions
 /// care about *new* heap traffic only).
@@ -90,6 +95,36 @@ where
     }
 }
 
+/// Asserts that allocations per `Runner::run` under `RoundRobin` do not
+/// depend on the run's length: seeds giving runs of different lengths must
+/// all allocate the same (per-run buffers only) amount. Each count is the
+/// minimum over a few attempts, which filters the harness's own traffic.
+fn assert_run_allocations_constant<P: Protocol>(what: &str, protocol: &P, inputs: &[Val]) {
+    let mut by_length = BTreeMap::new();
+    for seed in 0..40 {
+        let mut run = || {
+            Runner::new(protocol, inputs, RoundRobin::new())
+                .seed(seed)
+                .run()
+                .total_steps
+        };
+        let (allocs, steps) = (0..3)
+            .map(|_| allocations_during(&mut run))
+            .min()
+            .expect("attempts");
+        by_length.insert(steps, allocs);
+    }
+    assert!(
+        by_length.len() > 1,
+        "{what}: every seed ran the same length"
+    );
+    let first = by_length.values().next().copied();
+    assert!(
+        by_length.values().all(|a| Some(*a) == first),
+        "{what}: allocations per run grow with its length (steps -> allocations): {by_length:?}"
+    );
+}
+
 fn trial(root_seed: u64, index: u64) -> Trial {
     Trial {
         index,
@@ -148,4 +183,22 @@ fn hot_paths_do_not_allocate() {
             std::hint::black_box(run_instance(&mut slot3, trial(23, index)));
         }
     });
+
+    // 4. The same for fig3, whose end-of-phase computation now works on
+    //    fixed-size arrays (two peers, three positions, at most three
+    //    leader tags).
+    let fig3 = ThreeBounded::new();
+    let mut slot_fig3 = InstanceSlot::new(&fig3, &PackCodec, &inputs3, 1_000_000);
+    run_instance(&mut slot_fig3, trial(29, 0));
+    assert_alloc_free("fig3 steady state", || {
+        for index in 1..100 {
+            std::hint::black_box(run_instance(&mut slot_fig3, trial(29, index)));
+        }
+    });
+
+    // 5. The simulator: `Runner::run` with `RoundRobin` allocates its
+    //    per-run buffers, and nothing per step.
+    assert_run_allocations_constant("two", &two, &inputs);
+    assert_run_allocations_constant("fig2", &fig2, &inputs3);
+    assert_run_allocations_constant("fig3", &fig3, &inputs3);
 }

@@ -4,13 +4,13 @@
 
 use cil_audit::{Auditor, Clause, MutantKind, MutantTwo};
 use cil_core::deterministic::{DetRule, DetTwo};
-use cil_core::kvalued::{KReg, KValued};
+use cil_core::kvalued::KValued;
 use cil_core::n_unbounded::NUnbounded;
 use cil_core::n_unbounded_1w1r::NUnbounded1W1R;
 use cil_core::naive::Naive;
 use cil_core::three_bounded::ThreeBounded;
 use cil_core::two::{TwoProcessor, TwoReg};
-use cil_registers::Packable;
+use cil_core::KRegCodec;
 use cil_sim::Val;
 
 /// Every protocol family in the workspace passes all five checks.
@@ -19,6 +19,7 @@ use cil_sim::Val;
 /// so its underlying protocol is covered by the fig2 entries.
 #[test]
 fn all_builtin_protocols_are_model_compliant() {
+    let kvalued = KValued::new(TwoProcessor::new(), 4);
     let reports = vec![
         (
             "two",
@@ -61,12 +62,9 @@ fn all_builtin_protocols_are_model_compliant() {
         ("naive", Auditor::new(&Naive::new(3)).with_packable().run()),
         (
             "kvalued",
-            Auditor::new(&KValued::new(TwoProcessor::new(), 4))
+            Auditor::new(&kvalued)
                 .with_inputs((0..4).map(Val))
-                .with_packer(|r: &KReg<TwoReg>| match r {
-                    KReg::Inner(inner) => inner.pack(),
-                    KReg::Cand(c) => c.map_or(0, |v| v + 1),
-                })
+                .with_codec(&KRegCodec::for_protocol(&kvalued))
                 .run(),
         ),
     ];

@@ -12,13 +12,13 @@ use cil_audit::{
 use cil_cli::CliFailure;
 use cil_conc::{Access, StaticIndep};
 use cil_core::deterministic::{DetRule, DetTwo};
-use cil_core::kvalued::{KReg, KValued};
+use cil_core::kvalued::KValued;
 use cil_core::n_unbounded::NUnbounded;
 use cil_core::n_unbounded_1w1r::NUnbounded1W1R;
 use cil_core::naive::Naive;
 use cil_core::three_bounded::ThreeBounded;
-use cil_core::two::{TwoProcessor, TwoReg};
-use cil_registers::Packable;
+use cil_core::two::TwoProcessor;
+use cil_core::KRegCodec;
 use cil_sim::{Op, Protocol, Val};
 use proptest::prelude::*;
 
@@ -299,12 +299,10 @@ proptest! {
         walk_and_check(&p, &[Val::A, Val::B, Val::A, Val::B], &t, &s, seed, 48);
 
         let p = KValued::new(TwoProcessor::new(), 4);
+        let codec = KRegCodec::for_protocol(&p);
         let auditor = Auditor::new(&p)
             .with_inputs((0..4).map(Val))
-            .with_packer(|r: &KReg<TwoReg>| match r {
-                KReg::Inner(inner) => inner.pack(),
-                KReg::Cand(c) => c.map_or(0, |v| v + 1),
-            });
+            .with_codec(&codec);
         let (t, s) = tables_for(&auditor);
         prop_assert!(t.complete, "kvalued walk must converge");
         walk_and_check(&p, &[Val(0), Val(3)], &t, &s, seed, 64);
