@@ -1,10 +1,10 @@
 //! Benches for the model-checking machinery: exhaustive space
-//! enumeration, dense and compact MDP solving, and valence analysis.
+//! enumeration, MDP solving, and valence analysis.
 //!
 //! Hand-written harness (not `criterion_group!`): the first thing every
 //! invocation does — including `cargo bench -p cil-bench --bench mdp --
-//! --test`, the CI smoke mode — is build the dense and compact state
-//! spaces side by side, check the symmetry quotient actually pays (the
+//! --test`, the CI smoke mode — is count the raw configurations next to
+//! the symmetry-reduced classes, check the quotient actually pays (the
 //! k-valued class space must be at least halved), and write the counts to
 //! `BENCH_mdp.json` at the repository root. Timed loops only run without
 //! `--test`.
@@ -12,18 +12,17 @@
 use cil_core::deterministic::{DetRule, DetTwo};
 use cil_core::kvalued::KValued;
 use cil_core::two::TwoProcessor;
-use cil_mc::explore::Explorer;
-use cil_mc::mdp::{MdpSolver, Objective};
 use cil_mc::valence::ValenceMap;
-use cil_mc::{CompactExplorer, CompactMdp, CompactOptions, Symmetric};
+use cil_mc::{CompactExplorer, CompactMdp, CompactOptions, Objective, Symmetric};
 use cil_obs::json::ObjWriter;
 use cil_sim::Val;
 use criterion::{black_box, Criterion};
 
-/// Dense-vs-compact comparison row for one protocol instance.
+/// Raw-vs-reduced comparison row for one protocol instance.
 struct SpaceRow {
     name: &'static str,
-    dense: usize,
+    /// Raw configurations (the `dense_configs` key of BENCH_mdp.json).
+    raw: usize,
     compact: usize,
     transitions: usize,
     sym_hits: u64,
@@ -32,28 +31,37 @@ struct SpaceRow {
 
 impl SpaceRow {
     fn ratio(&self) -> f64 {
-        self.dense as f64 / self.compact as f64
+        self.raw as f64 / self.compact as f64
     }
 }
 
-/// Builds both backends for one protocol and cross-checks the
-/// total-steps value before recording the state counts.
+/// Counts the raw configurations of one protocol, builds the quotient and
+/// the unreduced MDP, and cross-checks their total-steps values before
+/// recording the counts.
 fn row<P: Symmetric>(name: &'static str, p: &P, inputs: &[Val]) -> SpaceRow {
-    let dense = MdpSolver::build(p, inputs, 2_000_000);
-    let dv = dense.expected_steps(p, Objective::TotalSteps, 1e-12, 1_000_000);
+    let raw = CompactExplorer::new(p, inputs).use_symmetry(false).run();
+    assert!(raw.complete, "{name}: the raw space is not closed");
+    let unreduced = CompactOptions {
+        use_symmetry: false,
+        merge_decided: false,
+        ..CompactOptions::default()
+    };
+    let uv = CompactMdp::build(p, inputs, &unreduced)
+        .expect("finite protocol fits the default class budget")
+        .expected_steps(Objective::TotalSteps, 1e-12, 1_000_000, 0);
     let compact = CompactMdp::build(p, inputs, &CompactOptions::default())
         .expect("finite protocol fits the default class budget");
     let cv = compact.expected_steps(Objective::TotalSteps, 1e-12, 1_000_000, 0);
     assert!(
-        (dv.value - cv.value).abs() <= 1e-9,
-        "{name}: dense E={} vs compact E={}",
-        dv.value,
+        (uv.value - cv.value).abs() <= 1e-9,
+        "{name}: unreduced E={} vs quotient E={}",
+        uv.value,
         cv.value
     );
     let stats = compact.stats();
     SpaceRow {
         name,
-        dense: dense.size(),
+        raw: raw.explored,
         compact: compact.size(),
         transitions: stats.transitions,
         sym_hits: stats.sym_hits,
@@ -71,7 +79,7 @@ fn write_report(rows: &[SpaceRow]) {
         }
         let obj = ObjWriter::new()
             .str("protocol", r.name)
-            .num("dense_configs", r.dense as u64)
+            .num("dense_configs", r.raw as u64)
             .num("compact_classes", r.compact as u64)
             .num("transitions", r.transitions as u64)
             .num("sym_hits", r.sym_hits)
@@ -108,14 +116,14 @@ fn check_spaces() {
         println!(
             "mdp/space {:<10} dense={:>4} compact={:>4} reduction={:.3}x E[total]={:.4}",
             r.name,
-            r.dense,
+            r.raw,
             r.compact,
             r.ratio(),
             r.expected_total
         );
     }
     // The acceptance bar for the symmetry quotient: the k-valued class
-    // space must be at least halved relative to dense enumeration.
+    // space must be at least halved relative to the raw configurations.
     let kv = &rows[1];
     assert!(
         kv.ratio() >= 2.0,
@@ -127,23 +135,10 @@ fn check_spaces() {
 
 fn bench_mc(c: &mut Criterion) {
     let p = TwoProcessor::new();
-    c.bench_function("mc/explore_full_two_proc", |b| {
-        b.iter(|| {
-            let r = Explorer::new(&p, &[Val::A, Val::B]).run();
-            black_box(r.explored)
-        })
-    });
     c.bench_function("mc/explore_compact_two_proc", |b| {
         b.iter(|| {
             let (r, _) = CompactExplorer::new(&p, &[Val::A, Val::B]).run_with_stats();
             black_box(r.explored)
-        })
-    });
-    c.bench_function("mc/mdp_build_and_solve", |b| {
-        b.iter(|| {
-            let m = MdpSolver::build(&p, &[Val::A, Val::B], 100_000);
-            let s = m.expected_steps(&p, Objective::StepsOf(0), 1e-10, 100_000);
-            black_box(s.value)
         })
     });
     c.bench_function("mc/compact_build_and_solve", |b| {

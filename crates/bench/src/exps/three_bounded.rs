@@ -8,7 +8,7 @@
 use crate::adversary_suite;
 use cil_analysis::{fnum, OnlineStats, Table};
 use cil_core::three_bounded::{register_alphabet, BReg, ThreeBounded};
-use cil_mc::explore::Explorer;
+use cil_mc::CompactExplorer;
 use cil_sim::{Op, Runner, Val};
 use std::collections::HashSet;
 
@@ -53,7 +53,7 @@ pub fn run() -> String {
     // Bounded-exhaustive safety.
     out.push_str("\n### Bounded-exhaustive consistency\n\n");
     let depth = if cfg!(debug_assertions) { 8 } else { 11 };
-    let report = Explorer::new(&p, &inputs)
+    let report = CompactExplorer::new(&p, &inputs)
         .max_depth(depth)
         .max_configs(3_000_000)
         .run();

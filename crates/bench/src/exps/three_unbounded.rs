@@ -11,7 +11,7 @@
 use crate::adversary_suite;
 use cil_analysis::{ascii_series, fnum, OnlineStats, Scale, Table, TailEstimator};
 use cil_core::n_unbounded::{max_num, NUnbounded};
-use cil_mc::explore::Explorer;
+use cil_mc::CompactExplorer;
 use cil_sim::{Runner, Val};
 
 /// Runs the experiment and returns its markdown report.
@@ -56,7 +56,7 @@ pub fn run() -> String {
          **{bad_literal} consistency violations**; corrected rule → {bad_strict}.\n\n",
     ));
     let depth = if cfg!(debug_assertions) { 8 } else { 11 };
-    let report = Explorer::new(&p, &inputs)
+    let report = CompactExplorer::new(&p, &inputs)
         .max_depth(depth)
         .max_configs(3_000_000)
         .run();

@@ -10,8 +10,7 @@
 use crate::adversary_suite;
 use cil_analysis::{ascii_series, fnum, OnlineStats, Scale, Table, TailEstimator};
 use cil_core::two::TwoProcessor;
-use cil_mc::explore::Explorer;
-use cil_mc::mdp::{MdpSolver, Objective};
+use cil_mc::{CompactExplorer, CompactMdp, CompactOptions, Objective};
 use cil_sim::{Runner, StopWhen, Val};
 
 /// Runs the experiment and returns its markdown report.
@@ -22,10 +21,23 @@ pub fn run() -> String {
 
     // --- EXP-2a: exact analysis -----------------------------------------
     out.push_str("\n### EXP-2a — exact analysis (exhaustive + MDP)\n\n");
-    let report = Explorer::new(&p, &inputs).run();
-    let mdp = MdpSolver::build(&p, &inputs, 100_000);
-    let steps0 = mdp.expected_steps(&p, Objective::StepsOf(0), 1e-12, 100_000);
-    let total = mdp.expected_steps(&p, Objective::TotalSteps, 1e-12, 100_000);
+    // Raw configuration counts: no symmetry quotient.
+    let report = CompactExplorer::new(&p, &inputs).use_symmetry(false).run();
+    // The P0 objective fixes P0, so it quotients differently from the
+    // any-processor one.
+    let mdp = CompactMdp::build(
+        &p,
+        &inputs,
+        &CompactOptions {
+            target: Some(0),
+            ..CompactOptions::default()
+        },
+    )
+    .expect("Fig. 1's space is finite");
+    let any = CompactMdp::build(&p, &inputs, &CompactOptions::default())
+        .expect("Fig. 1's space is finite");
+    let steps0 = mdp.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, 1);
+    let total = any.expected_steps(Objective::TotalSteps, 1e-12, 100_000, 1);
     let mut t = Table::new(["quantity", "paper", "exact (this repo)"]);
     t.row([
         "consistency over ALL schedules × coins".into(),
@@ -50,7 +62,7 @@ pub fn run() -> String {
     out.push_str(&t.render());
 
     let k_max = 20usize;
-    let exact = mdp.survival(&p, 0, k_max, 1e-13, 200_000);
+    let exact = mdp.survival(0, k_max, 1e-13, 200_000, 1);
     out.push_str(
         "\nWorst-case survival P[P0 undecided after k own steps] — exact vs the \
          Theorem 7 tail (3/4)^{(k−2)/2}. (The paper's text prints (1/4)^{k/2}; that \
@@ -100,7 +112,7 @@ pub fn run() -> String {
         let mut tail = TailEstimator::new();
         let mut bad = 0u64;
         for seed in 0..runs {
-            let adv = mdp.policy_adversary(&steps0);
+            let adv = mdp.policy_adversary(&p, &steps0);
             let o = Runner::new(&p, &inputs, adv)
                 .seed(seed)
                 .stop_when(StopWhen::PidDecided(0))
@@ -163,7 +175,7 @@ pub fn run() -> String {
     {
         let mut hist = cil_analysis::Histogram::new();
         for seed in 0..runs.min(5_000) {
-            let adv = mdp.policy_adversary(&steps0);
+            let adv = mdp.policy_adversary(&p, &steps0);
             let o = Runner::new(&p, &inputs, adv)
                 .seed(seed ^ 0x715)
                 .stop_when(StopWhen::PidDecided(0))

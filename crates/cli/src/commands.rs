@@ -19,10 +19,9 @@ use cil_core::apps::{elect_leader, MutexLog};
 use cil_core::deterministic::DetTwo;
 use cil_core::n_unbounded::NUnbounded;
 use cil_core::two::TwoProcessor;
-use cil_mc::mdp::{MdpSolver, Objective};
 use cil_mc::{
-    construct_infinite_schedule, CompactExplorer, CompactMdp, CompactOptions, Explorer,
-    LookaheadAdversary, Symmetric,
+    construct_infinite_schedule, CompactExplorer, CompactMdp, CompactOptions, LookaheadAdversary,
+    Objective, Symmetric,
 };
 use cil_obs::json::{self, Value};
 use cil_obs::{
@@ -71,15 +70,13 @@ USAGE:
                 [--metrics-out <file>] [--metrics-format json|openmetrics]
                 [--timings]                        parallel Monte-Carlo sweep
   cil check     --protocol <P> --inputs a,b[,..] [--depth N] [--max-configs N]
-                [--jobs N] [--stats] [--progress] [--compat-dense]
-                [--metrics-out <file>] [--metrics-format F] [--timings]
+                [--stats] [--progress] [--metrics-out <file>]
+                [--metrics-format F] [--timings]   exhaustive bounded check
   cil mdp       --inputs a,b [--kmax N] [--jobs N] [--metrics-out <file>]
-                [--metrics-format F] [--timings]
-                [--compat-dense]                   exact Theorem 7 analysis
+                [--metrics-format F] [--timings]   exact Theorem 7 analysis
   cil survival  --protocol <P> --inputs a,b[,..] [--target N] [--kmax N]
                 [--depth N] [--max-configs N] [--jobs N] [--metrics-out <file>]
-                [--metrics-format F] [--timings]
-                [--compat-dense]                   exact worst-case survival
+                [--metrics-format F] [--timings]   exact worst-case survival
                 curve P[target undecided after k of its steps]; --depth is
                 required for the infinite-space protocols (fig2, fig3, n:<c>)
   cil report    <file> [--merge <f2,f3,..>] [--flame]   offline analyzer for
@@ -128,8 +125,8 @@ USAGE:
                 coordination as a service: run N consensus instances to
                 decision over the hardware atomic-register backend on J
                 sharded arenas (allocation-free steady state), then report
-                decisions/sec and service-latency percentiles and write
-                them to BENCH_serve.json (--out; 'none' skips). --inputs
+                decisions/sec and service-latency percentiles; --out writes
+                them to <file> in the BENCH_serve.json schema. --inputs
                 defaults to alternating a,b. With --instances, stats and
                 serve.* metric exports are a pure function of
                 (--seed, --instances) — byte-identical at any --shards;
@@ -154,9 +151,8 @@ STRATEGIES <S> (conc): random | pct | pct:<d> — pct randomizes thread
 RULES <R>: always-adopt | always-keep | adopt-if-greater | alternate
 JOBS: --jobs 0 (default) = all cores, 1 = serial; results are identical at
       every setting — only wall time changes.
-BACKENDS: check, mdp and survival run on a hash-consed, symmetry-reduced
-      state space by default; --compat-dense switches to the original dense
-      enumeration (same verdicts and values, more states).
+EXACT ENGINE: check, mdp and survival enumerate one hash-consed state
+      space with one representative per symmetry orbit.
 OBSERVABILITY: --progress renders a live rate/ETA (sweep) or per-level BFS
       line (check) on stderr; --metrics-out writes a metrics snapshot in
       canonical JSON or OpenMetrics text (--metrics-format); --trace-json
@@ -885,17 +881,11 @@ pub fn sweep(args: &Args) -> Result<String, String> {
     with_spec!(protocol_arg(args)?, sweep_one(args))
 }
 
-fn check_one<P, C>(protocol: &P, _codec: &C, args: &Args) -> Result<String, String>
-where
-    P: Symmetric + Sync,
-    P::State: Send + Sync,
-    P::Reg: Send + Sync,
-{
+fn check_one<P: Symmetric, C>(protocol: &P, _codec: &C, args: &Args) -> Result<String, String> {
     fits_active_mask(protocol)?;
     let inputs = inputs_for(protocol, args)?;
     let depth = args.get_u64("depth", 10)? as usize;
     let max_configs = args.get_u64("max-configs", 3_000_000)? as usize;
-    let jobs = args.get_u64("jobs", 0)? as usize;
     let timings = timings_flag(args)?;
     let registry = Registry::new();
     let reporter = args.flag("progress").then(|| LevelReporter::new("check"));
@@ -904,41 +894,21 @@ where
     let level_clock = timings.then(|| {
         (
             registry.series("check.level_ns"),
-            std::sync::Mutex::new(std::time::Instant::now()),
+            std::cell::Cell::new(std::time::Instant::now()),
         )
     });
-    let track = |d: usize, frontier: usize, generated: usize, fresh: usize| {
-        if let Some(rep) = &reporter {
-            rep.level(d, frontier, generated, fresh);
-        }
-        if let Some((series, last)) = &level_clock {
-            let mut last = last
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            series.push(elapsed_ns(*last));
-            *last = std::time::Instant::now();
-        }
-    };
-    let observe_levels = reporter.is_some() || level_clock.is_some();
-    let (report, compact_stats) = if args.flag("compat-dense") {
-        let mut explorer = Explorer::new(protocol, &inputs)
-            .max_depth(depth)
-            .max_configs(max_configs)
-            .jobs(jobs);
-        if observe_levels {
-            explorer = explorer.on_level(|l| track(l.depth, l.frontier, l.generated, l.fresh));
-        }
-        (explorer.par_run(), None)
-    } else {
-        let mut explorer = CompactExplorer::new(protocol, &inputs)
-            .max_depth(depth)
-            .max_configs(max_configs);
-        if observe_levels {
-            explorer = explorer.on_level(|l| track(l.depth, l.frontier, l.generated, l.fresh));
-        }
-        let (report, stats) = explorer.run_with_stats();
-        (report, Some(stats))
-    };
+    let (report, stats) = CompactExplorer::new(protocol, &inputs)
+        .max_depth(depth)
+        .max_configs(max_configs)
+        .on_level(|l| {
+            if let Some(rep) = &reporter {
+                rep.level(l.depth, l.frontier, l.generated, l.fresh);
+            }
+            if let Some((series, last)) = &level_clock {
+                series.push(elapsed_ns(last.replace(std::time::Instant::now())));
+            }
+        })
+        .run_with_stats();
     registry
         .counter("check.configs")
         .add(report.explored as u64);
@@ -955,10 +925,8 @@ where
         fresh_series.push(l.fresh as u64);
         generated_series.push(l.generated as u64);
     }
-    if let Some(cs) = &compact_stats {
-        registry.gauge("check.classes").set(cs.classes as u64);
-        registry.counter("check.sym_hits").add(cs.sym_hits);
-    }
+    registry.gauge("check.classes").set(stats.classes as u64);
+    registry.counter("check.sym_hits").add(stats.sym_hits);
     write_metrics_out(args, &registry)?;
     let mut s = format!(
         "exhaustive check of {} to depth {}\n{} configurations explored \
@@ -974,14 +942,12 @@ where
             "VIOLATIONS FOUND — see above"
         }
     );
-    if let Some(cs) = &compact_stats {
-        let _ = writeln!(
-            s,
-            "symmetry-reduced: {} canonical classes ({} orbit hits; \
-             {} state / {} register words interned)",
-            cs.classes, cs.sym_hits, cs.interned_states, cs.interned_regs
-        );
-    }
+    let _ = writeln!(
+        s,
+        "symmetry-reduced: {} canonical classes ({} orbit hits; \
+         {} state / {} register words interned)",
+        stats.classes, stats.sym_hits, stats.interned_states, stats.interned_regs
+    );
     if args.flag("stats") {
         let _ = writeln!(s, "\nlevel  frontier  generated  fresh  dedup-hit");
         for l in &report.levels {
@@ -1009,10 +975,6 @@ pub fn check(args: &Args) -> Result<String, String> {
 }
 
 /// `cil mdp` — exact Theorem 7 analysis of the two-processor protocol.
-///
-/// Runs on the hash-consed, symmetry-reduced backend by default;
-/// `--compat-dense` switches to the original dense solver (identical
-/// numbers, more enumerated states).
 pub fn mdp(args: &Args) -> Result<String, String> {
     if let Some(other) = args.get("protocol").filter(|p| *p != "two") {
         return Err(format!(
@@ -1021,6 +983,7 @@ pub fn mdp(args: &Args) -> Result<String, String> {
         ));
     }
     let inputs = parse_inputs(args.get_or("inputs", "a,b"))?;
+    ProtocolSpec::Two.check_values("--inputs", &inputs)?;
     if inputs.len() != 2 {
         return Err("--inputs: the mdp command analyses the 2-processor protocol".into());
     }
@@ -1034,65 +997,36 @@ pub fn mdp(args: &Args) -> Result<String, String> {
     };
     let p = TwoProcessor::new();
     let root = timer.enter("mdp");
-    let (header, steps, total, curve, compact) = if args.flag("compat-dense") {
-        let solver = {
-            let _g = timer.enter("build");
-            MdpSolver::build(&p, &inputs, 1_000_000)
-        };
-        let (steps, total) = {
-            let _g = timer.enter("solve");
-            (
-                solver.expected_steps(&p, Objective::StepsOf(0), 1e-12, 100_000),
-                solver.expected_steps(&p, Objective::TotalSteps, 1e-12, 100_000),
-            )
-        };
-        let curve = {
-            let _g = timer.enter("survival");
-            solver.survival(&p, 0, kmax, 1e-13, 200_000)
-        };
-        let header = format!("configuration space: {} states (dense)", solver.size());
-        (header, steps, total, curve, None)
-    } else {
-        // The per-processor objective constrains which symmetries apply, so
-        // the P0 analysis and the total-steps analysis quotient differently.
-        let (p0, any) = {
-            let _g = timer.enter("build");
-            let p0 = CompactMdp::build(
-                &p,
-                &inputs,
-                &CompactOptions {
-                    target: Some(0),
-                    ..CompactOptions::default()
-                },
-            )?;
-            let any = CompactMdp::build(&p, &inputs, &CompactOptions::default())?;
-            (p0, any)
-        };
-        let (steps, total) = {
-            let _g = timer.enter("solve");
-            (
-                p0.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, jobs),
-                any.expected_steps(Objective::TotalSteps, 1e-12, 100_000, jobs),
-            )
-        };
-        let curve = {
-            let _g = timer.enter("survival");
-            p0.survival(0, kmax, 1e-13, 200_000, jobs)
-        };
-        let header = format!(
-            "configuration space: {} canonical classes (P0 objective), \
-             {} (any-processor objective)",
-            p0.size(),
-            any.size()
-        );
-        (header, steps, total, curve, Some(p0))
+    // The per-processor objective constrains which symmetries apply, so
+    // the P0 analysis and the total-steps analysis quotient differently.
+    let (p0, any) = {
+        let _g = timer.enter("build");
+        let p0 = CompactMdp::build(
+            &p,
+            &inputs,
+            &CompactOptions {
+                target: Some(0),
+                ..CompactOptions::default()
+            },
+        )?;
+        let any = CompactMdp::build(&p, &inputs, &CompactOptions::default())?;
+        (p0, any)
+    };
+    let (steps, total) = {
+        let _g = timer.enter("solve");
+        (
+            p0.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, jobs),
+            any.expected_steps(Objective::TotalSteps, 1e-12, 100_000, jobs),
+        )
+    };
+    let curve = {
+        let _g = timer.enter("survival");
+        p0.survival(0, kmax, 1e-13, 200_000, jobs)
     };
     drop(root);
     let registry = Registry::new();
     registry.merge_spans(&timer.finish());
-    if let Some(m) = &compact {
-        m.export_metrics(&registry);
-    }
+    p0.export_metrics(&registry);
     registry
         .gauge("mdp.iterations")
         .set(steps.iterations as u64);
@@ -1120,7 +1054,13 @@ pub fn mdp(args: &Args) -> Result<String, String> {
     }
     write_metrics_out(args, &registry)?;
     let mut s = String::new();
-    let _ = writeln!(s, "{header}");
+    let _ = writeln!(
+        s,
+        "configuration space: {} canonical classes (P0 objective), \
+         {} (any-processor objective)",
+        p0.size(),
+        any.size()
+    );
     let _ = writeln!(
         s,
         "E[steps of P0 | optimal adaptive adversary] = {}  (paper Corollary: <= 10)",
@@ -1167,43 +1107,26 @@ fn survival_one<P: Symmetric, C>(protocol: &P, _codec: &C, args: &Args) -> Resul
     let registry = Registry::new();
     let mut s = String::new();
     let root = timer.enter("survival");
-    let curve = if args.flag("compat-dense") {
-        let solver = {
-            let _g = timer.enter("build");
-            match depth {
-                Some(d) => MdpSolver::build_bounded(protocol, &inputs, max_configs, d),
-                None => MdpSolver::build(protocol, &inputs, max_configs),
-            }
-        };
-        let _ = writeln!(
-            s,
-            "{}: {} states (dense), target P{target}",
-            protocol.name(),
-            solver.size()
-        );
-        let _g = timer.enter("curve");
-        solver.survival(protocol, target, kmax, 1e-13, 200_000)
-    } else {
-        let opts = CompactOptions {
-            max_configs,
-            max_depth: depth,
-            target: Some(target),
-            ..CompactOptions::default()
-        };
-        let mdp = {
-            let _g = timer.enter("build");
-            CompactMdp::build(protocol, &inputs, &opts)
-                .map_err(|e| format!("{e} — unbounded protocols need --depth (see cil help)"))?
-        };
-        let stats = *mdp.stats();
-        let _ = writeln!(
-            s,
-            "{}: {} canonical classes ({} orbit hits), target P{target}",
-            protocol.name(),
-            mdp.size(),
-            stats.sym_hits
-        );
-        mdp.export_metrics(&registry);
+    let opts = CompactOptions {
+        max_configs,
+        max_depth: depth,
+        target: Some(target),
+        ..CompactOptions::default()
+    };
+    let mdp = {
+        let _g = timer.enter("build");
+        CompactMdp::build(protocol, &inputs, &opts)
+            .map_err(|e| format!("{e} — unbounded protocols need --depth (see cil help)"))?
+    };
+    let _ = writeln!(
+        s,
+        "{}: {} canonical classes ({} orbit hits), target P{target}",
+        protocol.name(),
+        mdp.size(),
+        mdp.stats().sym_hits
+    );
+    mdp.export_metrics(&registry);
+    let curve = {
         let _g = timer.enter("curve");
         mdp.survival(target, kmax, 1e-13, 200_000, jobs)
     };
@@ -1227,10 +1150,9 @@ fn survival_one<P: Symmetric, C>(protocol: &P, _codec: &C, args: &Args) -> Resul
     Ok(s)
 }
 
-/// `cil survival` — exact worst-case survival curve for any protocol, on
-/// the compact symmetry-reduced backend (or the dense solver with
-/// `--compat-dense`). Protocols with infinite reachable spaces (`fig2`,
-/// `fig3`, `n:<count>`) need `--depth`.
+/// `cil survival` — exact worst-case survival curve for any protocol.
+/// Protocols with infinite reachable spaces (`fig2`, `fig3`, `n:<count>`)
+/// need `--depth`.
 pub fn survival(args: &Args) -> Result<String, String> {
     with_spec!(protocol_arg(args)?, survival_one(args))
 }
@@ -1450,9 +1372,9 @@ where
         );
     }
     write_metrics_out(args, &registry)?;
-    let out_path = args.get_or("out", "BENCH_serve.json");
-    if out_path != "none" {
-        write_bench_serve(out_path, &protocol.name(), &report)?;
+    let out_path = args.get("out");
+    if let Some(path) = out_path {
+        write_bench_serve(path, &protocol.name(), &report)?;
     }
 
     let q = |q: f64| report.latency.quantile(q).map(|b| b.mid()).unwrap_or(0);
@@ -1491,8 +1413,8 @@ where
         }
         let _ = writeln!(s);
     }
-    if out_path != "none" {
-        let _ = writeln!(s, "\nwrote {out_path}");
+    if let Some(path) = out_path {
+        let _ = writeln!(s, "\nwrote {path}");
     }
     Ok(s)
 }

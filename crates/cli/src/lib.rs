@@ -14,7 +14,7 @@
 //! cil sweep     --protocol fig2 --inputs a,b,a --trials 10000 --seed 7 --jobs 4
 //!               [--progress] [--metrics-out m.json] [--metrics-format json|openmetrics]
 //!               [--timings]
-//! cil check     --protocol fig3 --inputs a,b,a --depth 11 --jobs 4 [--stats]
+//! cil check     --protocol fig3 --inputs a,b,a --depth 11 [--stats]
 //! cil mdp       --inputs a,b [--kmax 20]
 //! cil survival  --protocol two --inputs a,b --target 0 --kmax 20
 //! cil theorem4  --rule always-adopt --steps 100000
@@ -99,7 +99,6 @@ pub fn dispatch_full<I: IntoIterator<Item = String>>(tokens: I) -> Result<String
             "progress",
             "stats",
             "audit",
-            "compat-dense",
             "naive",
             "no-hunt",
             "cross-check",
@@ -185,7 +184,6 @@ mod tests {
             "--flame",
             "--progress",
             "--stats",
-            "--compat-dense",
             "--json",
             "--footprints",
             "--static-indep",
@@ -292,13 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn check_is_jobs_invariant() {
-        let serial = dispatch(toks("check --protocol two --inputs a,b --jobs 1")).unwrap();
-        let par = dispatch(toks("check --protocol two --inputs a,b --jobs 4")).unwrap();
-        assert_eq!(serial, par);
-    }
-
-    #[test]
     fn sweep_reports_stats_and_is_jobs_invariant() {
         let serial = dispatch(toks(
             "sweep --protocol two --inputs a,b --trials 200 --seed 9 --jobs 1",
@@ -352,27 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn mdp_compat_dense_reports_the_same_bound() {
-        let compact = dispatch(toks("mdp --inputs a,b")).unwrap();
-        let dense = dispatch(toks("mdp --inputs a,b --compat-dense")).unwrap();
-        assert!(dense.contains("10.00"), "{dense}");
-        // Everything below the state-count header is numerically identical.
-        let body = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        assert_eq!(body(&compact), body(&dense));
-    }
-
-    #[test]
-    fn check_compat_dense_agrees_with_the_compact_default() {
-        let compact = dispatch(toks("check --protocol two --inputs a,b")).unwrap();
-        let dense = dispatch(toks("check --protocol two --inputs a,b --compat-dense")).unwrap();
-        for out in [&compact, &dense] {
-            assert!(out.contains("violations: 0"), "{out}");
-            assert!(out.contains("consistency and nontriviality hold"), "{out}");
-        }
-        assert!(compact.contains("symmetry-reduced"), "{compact}");
-    }
-
-    #[test]
     fn survival_pins_the_corollary_curve() {
         let out = dispatch(toks("survival --protocol two --inputs a,b --kmax 6")).unwrap();
         // P0 cannot decide before its 4th step; from there the worst-case
@@ -383,8 +353,8 @@ mod tests {
     }
 
     #[test]
-    fn survival_matches_compat_dense_and_jobs_are_invisible() {
-        let compact = dispatch(toks(
+    fn survival_jobs_are_invisible() {
+        let parallel = dispatch(toks(
             "survival --protocol kvalued:4 --inputs 0,3 --kmax 6 --jobs 8",
         ))
         .unwrap();
@@ -392,18 +362,7 @@ mod tests {
             "survival --protocol kvalued:4 --inputs 0,3 --kmax 6 --jobs 1",
         ))
         .unwrap();
-        assert_eq!(compact, serial);
-        let dense = dispatch(toks(
-            "survival --protocol kvalued:4 --inputs 0,3 --kmax 6 --compat-dense",
-        ))
-        .unwrap();
-        let curve = |s: &str| {
-            s.lines()
-                .filter(|l| l.trim_start().starts_with("k ="))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(curve(&compact), curve(&dense));
+        assert_eq!(parallel, serial);
     }
 
     #[test]
@@ -487,8 +446,15 @@ mod tests {
     }
 
     #[test]
+    fn serve_writes_a_bench_file_only_when_asked() {
+        let out = dispatch(toks("serve two --instances 20 --seed 9")).unwrap();
+        assert!(!out.contains("wrote"), "{out}");
+        assert!(!std::path::Path::new("BENCH_serve.json").exists());
+    }
+
+    #[test]
     fn serve_rejects_conflicting_limits() {
-        let e = dispatch(toks("serve two --instances 10 --duration 5 --out none")).unwrap_err();
+        let e = dispatch(toks("serve two --instances 10 --duration 5")).unwrap_err();
         assert!(e.contains("mutually exclusive"), "{e}");
     }
 

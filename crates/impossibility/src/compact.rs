@@ -1,8 +1,14 @@
-//! Hash-consed, symmetry-reduced, parallel backend for exact analysis.
+//! The exact engine: exhaustive safety checking ([`CompactExplorer`]) and
+//! the adaptive adversary as a Markov decision process ([`CompactMdp`]),
+//! both over one hash-consed, symmetry-reduced configuration space.
 //!
-//! The dense [`crate::mdp::MdpSolver`] keys its configuration space on
-//! cloned [`Config`] values — correct, but memory-heavy and blind to the
-//! protocols' symmetries. This module scales the same analyses:
+//! The paper proves consistency (Theorems 6 and 8) and bounds termination
+//! under *every* adaptive adversary (Theorem 7 and its Corollary) by hand.
+//! Both become computations here: the explorer enumerates every reachable
+//! configuration — all schedules × all coin outcomes — and the MDP lets the
+//! adversary pick the next processor (knowing everything but future coins)
+//! while the coins resolve probabilistically, so value iteration yields the
+//! exact worst case.
 //!
 //! * **Hash-consing** — processor states and register contents are interned
 //!   once into u32-indexed arenas; a configuration key is a flat `Box<[u32]>`
@@ -25,24 +31,126 @@
 //!
 //! Protocols with unbounded registers (the paper's §5 family) get
 //! **depth-bounded** builds: configurations at the depth limit keep an
-//! empty move list, exactly mirroring [`MdpSolver::build_bounded`] on the
-//! dense side, so the two backends stay cross-validatable. Depth-bounded
-//! builds key on the activation mask and switch bisimulation merging off —
-//! BFS depth is preserved by initial-configuration-fixing automorphisms but
-//! not by the coarser merges, and truncation must cut both backends at the
-//! same places.
+//! empty move list, so their value stays 0 under every objective.
+//! Depth-bounded builds key on the activation mask and switch bisimulation
+//! merging off — BFS depth is preserved by initial-configuration-fixing
+//! automorphisms but not by the coarser merges, and truncation must cut
+//! exactly where a plain BFS over raw configurations would.
 //!
-//! [`MdpSolver::build_bounded`]: crate::mdp::MdpSolver::build_bounded
+//! With symmetry and merging off, both walks visit exactly the raw
+//! configurations of a breadth-first enumeration. An independent dense
+//! enumeration in `tests/tests/mdp_compact_cross_validation.rs` checks this
+//! module's expected steps, survival curves, policies and configuration
+//! counts.
 
 use crate::config::{successors, Config};
-use crate::explore::{LevelStats, Report, Violation};
-use crate::mdp::{Objective, Solve};
 use crate::symmetry::{applicable_elems, automorphism_elems, SymElem, Symmetric};
 use cil_obs::metrics::Registry;
 use cil_registers::ReaderSet;
 use cil_sim::{Adversary, Val, View};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+
+/// A safety violation found during exploration.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Violation {
+    /// Two processors decided differently.
+    Inconsistent {
+        /// The distinct decision values present.
+        values: Vec<Val>,
+        /// BFS depth at which the configuration was reached.
+        depth: usize,
+    },
+    /// A decision value is not the input of any activated processor.
+    Trivial {
+        /// The offending decision value.
+        value: Val,
+        /// BFS depth.
+        depth: usize,
+    },
+    /// A caller-supplied invariant failed.
+    Invariant {
+        /// The invariant's description.
+        message: String,
+        /// BFS depth.
+        depth: usize,
+    },
+}
+
+/// Per-level BFS statistics: how wide each level was and how effective
+/// the seen-set deduplication was there.
+///
+/// `generated - fresh` successors were duplicates of already-visited
+/// classes (or fell past the `max_configs` cutoff); the dedup hit rate at
+/// a level is `1 - fresh / generated`. Only levels processed to completion
+/// get a record — a mid-level stop (the violation cap) leaves that level
+/// out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LevelStats {
+    /// BFS depth of this level (0 = the initial configuration).
+    pub depth: usize,
+    /// Number of configurations processed at this depth.
+    pub frontier: usize,
+    /// Successor configurations generated from this level, before
+    /// deduplication.
+    pub generated: usize,
+    /// Successors that were genuinely new (inserted into the seen-set and
+    /// carried into the next level).
+    pub fresh: usize,
+}
+
+/// Result of an exploration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
+    /// Number of distinct configuration classes visited.
+    pub explored: usize,
+    /// Violations found (empty = safe within bounds).
+    pub violations: Vec<Violation>,
+    /// `true` if the reachable space was exhausted (the verdict is then
+    /// complete, not merely bounded).
+    pub complete: bool,
+    /// Maximum BFS depth reached.
+    pub max_depth: usize,
+    /// Per-level frontier/dedup statistics, one entry per completed BFS
+    /// level in depth order.
+    pub levels: Vec<LevelStats>,
+}
+
+impl Report {
+    /// Whether no violations were found.
+    pub fn safe(&self) -> bool {
+        self.violations.is_empty()
+    }
+}
+
+/// Which cost the adversary maximizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Objective {
+    /// Expected number of activations of one processor until it decides.
+    StepsOf(usize),
+    /// Expected total number of steps until every processor has decided.
+    TotalSteps,
+}
+
+/// Result of a value-iteration solve.
+#[derive(Debug)]
+pub struct Solve {
+    /// Optimal (worst-case) value at the initial configuration.
+    pub value: f64,
+    /// Optimal value of every enumerated class.
+    pub values: Vec<f64>,
+    /// Argmax processor per class (None = absorbing).
+    pub policy: Vec<Option<usize>>,
+    /// Iterations used.
+    pub iterations: usize,
+    /// Sup-norm residual after each sweep (one entry per iteration). A
+    /// deterministic function of the model — identical at any `--jobs` —
+    /// so it exports as a convergence time series.
+    pub residuals: Vec<f64>,
+    /// Wall-clock nanoseconds per sweep (one entry per iteration). Real
+    /// time: reproducible in shape, not in value.
+    pub sweep_ns: Vec<u64>,
+}
 
 /// Arena token for a decided processor state (full builds only).
 const MERGED: u32 = u32::MAX;
@@ -91,9 +199,8 @@ pub struct CompactOptions {
     /// build error rather than a panic.
     pub max_configs: usize,
     /// `Some(d)` truncates the BFS at depth `d`: configurations there keep
-    /// an empty move list (their value stays 0, as in the dense
-    /// depth-bounded build). Required for protocols whose reachable space
-    /// is infinite.
+    /// an empty move list (their value stays 0). Required for protocols
+    /// whose reachable space is infinite.
     pub max_depth: Option<usize>,
     /// The processor singled out by the intended objective
     /// ([`Objective::StepsOf`] or a survival target). Symmetry elements
@@ -343,7 +450,7 @@ impl<P: Symmetric> CompactMdp<P> {
         // with the objective: the value of a class depends only on its
         // future, so the elements need not fix the initial configuration.
         // Depth-bounded builds must stay depth-exact (the truncation
-        // frontier has to match the dense solver's), which only init-fixing
+        // frontier has to match a raw BFS's), which only init-fixing
         // elements guarantee.
         let elems = if !opts.use_symmetry {
             Vec::new()
@@ -503,11 +610,12 @@ impl<P: Symmetric> CompactMdp<P> {
 
     /// Worst-case expected cost by parallel Jacobi value iteration.
     ///
-    /// Converges from below to the same least fixpoint as the dense
-    /// Gauss–Seidel solver. Every scratch entry is a pure function of the
-    /// previous iterate and the convergence delta is reduced serially, so
-    /// the result is byte-identical at any `jobs` count (`0` = available
-    /// parallelism).
+    /// Converges monotonically from below to the least fixpoint, which for
+    /// nonnegative total-cost MDPs equals the supremum over all adversary
+    /// strategies; stops at sup-norm `tol` or `max_iter` sweeps. Every
+    /// scratch entry is a pure function of the previous iterate and the
+    /// convergence delta is reduced serially, so the result is
+    /// byte-identical at any `jobs` count (`0` = available parallelism).
     ///
     /// # Panics
     ///
@@ -708,8 +816,7 @@ impl CsrView<'_> {
         }
         let (lo, hi) = (self.row_off[class], self.row_off[class + 1]);
         if lo == hi {
-            // Depth-truncated: the value stays put (0), as in the dense
-            // bounded build.
+            // Depth-truncated: the value stays put (0).
             return v[class];
         }
         let mut best = f64::NEG_INFINITY;
@@ -722,8 +829,7 @@ impl CsrView<'_> {
         best
     }
 
-    /// The argmax move of `class` under `v` (first maximum in CSR order,
-    /// matching the dense solver's strict-improvement scan).
+    /// The argmax move of `class` under `v` (first maximum in CSR order).
     fn best_move(&self, class: usize, objective: Objective, v: &[f64]) -> Option<usize> {
         if self.absorbing(class, objective) {
             return None;
@@ -824,10 +930,20 @@ impl<P: Symmetric> Adversary<P> for CompactPolicyAdversary<'_, P> {
     }
 }
 
-/// Symmetry-reduced exhaustive safety checking: the compact counterpart of
-/// [`crate::explore::Explorer`], producing the same [`Report`] shape over
-/// canonical classes. Decided states and dead registers are **not** merged
-/// (consistency needs decision values), and keys embed the activation mask
+/// Symmetry-reduced exhaustive safety checking, up to a depth/size bound.
+///
+/// Checked on every visited class:
+///
+/// * **Consistency** — no reachable configuration has two decision values;
+/// * **Nontriviality** — every decision value is the input of some
+///   processor that was activated on the way there;
+/// * optional caller-supplied invariants via
+///   [`CompactExplorer::check_invariant`].
+///
+/// Fig. 1's reachable space is finite and closed, so its verdict is
+/// complete, not just bounded; the three-processor protocols are bounded by
+/// depth. Decided states and dead registers are **not** merged (consistency
+/// needs decision values), and keys embed the activation mask
 /// (nontriviality needs it); only symmetry quotients the space. Checks run
 /// on class representatives, which is sound because every checked property
 /// is invariant under initial-configuration-fixing automorphisms.
@@ -838,9 +954,9 @@ pub struct CompactExplorer<'p, P: Symmetric> {
     max_configs: usize,
     use_symmetry: bool,
     #[allow(clippy::type_complexity)]
-    invariant: Option<Box<dyn Fn(&Config<P>) -> Result<(), String> + Send + Sync + 'p>>,
+    invariant: Option<Box<dyn Fn(&Config<P>) -> Result<(), String> + 'p>>,
     #[allow(clippy::type_complexity)]
-    on_level: Option<Box<dyn Fn(&LevelStats) + Send + Sync + 'p>>,
+    on_level: Option<Box<dyn Fn(&LevelStats) + 'p>>,
 }
 
 impl<'p, P: Symmetric> CompactExplorer<'p, P> {
@@ -869,8 +985,8 @@ impl<'p, P: Symmetric> CompactExplorer<'p, P> {
         self
     }
 
-    /// Disables symmetry reduction (the run then degenerates to a
-    /// hash-consed replica of the serial dense explorer).
+    /// Disables symmetry reduction: the run then visits exactly the raw
+    /// configurations (one class each).
     pub fn use_symmetry(mut self, on: bool) -> Self {
         self.use_symmetry = on;
         self
@@ -878,25 +994,22 @@ impl<'p, P: Symmetric> CompactExplorer<'p, P> {
 
     /// Adds an invariant checked on every class representative. It must be
     /// invariant under the protocol's symmetries, like the built-in checks.
-    pub fn check_invariant(
-        mut self,
-        f: impl Fn(&Config<P>) -> Result<(), String> + Send + Sync + 'p,
-    ) -> Self {
+    pub fn check_invariant(mut self, f: impl Fn(&Config<P>) -> Result<(), String> + 'p) -> Self {
         self.invariant = Some(Box::new(f));
         self
     }
 
     /// Registers a callback invoked once per completed BFS level.
-    pub fn on_level(mut self, f: impl Fn(&LevelStats) + Send + Sync + 'p) -> Self {
+    pub fn on_level(mut self, f: impl Fn(&LevelStats) + 'p) -> Self {
         self.on_level = Some(Box::new(f));
         self
     }
 
     /// Runs the exploration, returning the report and build statistics.
     ///
-    /// The loop replays the serial dense explorer's queue discipline —
-    /// violation cap, depth bound, class-count cutoff, per-level records —
-    /// over canonical classes instead of raw configurations.
+    /// A FIFO BFS over canonical classes. It stops after more than 100
+    /// violations (that level then gets no record); the depth bound and the
+    /// class-count cutoff each mark the report incomplete.
     pub fn run_with_stats(self) -> (Report, CompactStats) {
         let protocol = self.protocol;
         let elems = if self.use_symmetry {
@@ -1022,15 +1135,86 @@ impl<'p, P: Symmetric> CompactExplorer<'p, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::Explorer;
-    use crate::mdp::MdpSolver;
+    use cil_core::deterministic::{DetRule, DetTwo};
     use cil_core::kvalued::KValued;
     use cil_core::two::TwoProcessor;
+    use cil_sim::{Protocol, Runner, StopWhen};
+    use std::cell::RefCell;
+    use std::collections::HashSet;
 
     fn opts(target: Option<usize>) -> CompactOptions {
         CompactOptions {
             target,
             ..CompactOptions::default()
+        }
+    }
+
+    /// Raw configurations reachable from `inputs`: the unreduced explorer
+    /// keeps one class per configuration.
+    fn raw_configs<P: Symmetric>(p: &P, inputs: &[Val]) -> usize {
+        let report = CompactExplorer::new(p, inputs).use_symmetry(false).run();
+        assert!(report.complete);
+        report.explored
+    }
+
+    /// The unreduced build: no symmetry quotient, decided states kept
+    /// distinct. Its classes are the raw configurations minus the
+    /// activation mask.
+    fn unreduced() -> CompactOptions {
+        CompactOptions {
+            use_symmetry: false,
+            merge_decided: false,
+            ..CompactOptions::default()
+        }
+    }
+
+    #[test]
+    fn space_is_small_and_closed() {
+        // The reachable space of Fig. 1 is finite and small: the unreduced
+        // build closes well inside the cap, and no successor of a raw
+        // configuration falls outside it.
+        let p = TwoProcessor::new();
+        let inputs = [Val::A, Val::B];
+        let o = CompactOptions {
+            max_configs: 100_000,
+            ..unreduced()
+        };
+        let m = CompactMdp::build(&p, &inputs, &o).unwrap();
+        assert!(m.size() < 2_000, "space size {}", m.size());
+        let report = CompactExplorer::new(&p, &inputs)
+            .use_symmetry(false)
+            .check_invariant(|cfg| {
+                for pid in cfg.eligible(&p) {
+                    for (_, succ) in successors(&p, cfg, pid) {
+                        if m.find(&p, &succ).is_none() {
+                            return Err(format!("successor by p{pid} escapes the build"));
+                        }
+                    }
+                }
+                Ok(())
+            })
+            .run();
+        assert!(report.complete);
+        assert!(report.safe(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn theorem_7_corollary_is_exactly_tight() {
+        // The paper's Corollary bounds the expectation by 2 + 4·2 = 10.
+        // The exact optimal adaptive adversary achieves it with equality —
+        // the bound is tight, which the paper does not state — for either
+        // processor and either input order.
+        let p = TwoProcessor::new();
+        for inputs in [[Val::A, Val::B], [Val::B, Val::A]] {
+            for pid in 0..2 {
+                let m = CompactMdp::build(&p, &inputs, &opts(Some(pid))).unwrap();
+                let s = m.expected_steps(Objective::StepsOf(pid), 1e-12, 100_000, 1);
+                assert!(
+                    (s.value - 10.0).abs() < 1e-6,
+                    "{inputs:?} p{pid}: exact optimum should be 10, got {}",
+                    s.value
+                );
+            }
         }
     }
 
@@ -1040,9 +1224,41 @@ mod tests {
         let m = CompactMdp::build(&p, &[Val::A, Val::B], &opts(Some(0))).unwrap();
         let s = m.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, 1);
         assert!((s.value - 10.0).abs() < 1e-6, "value {}", s.value);
-        // Fewer classes than dense configurations.
-        let dense = MdpSolver::build(&p, &[Val::A, Val::B], 100_000);
-        assert!(m.size() < dense.size(), "{} !< {}", m.size(), dense.size());
+        // Fewer classes than raw configurations.
+        let raw = raw_configs(&p, &[Val::A, Val::B]);
+        assert!(m.size() < raw, "{} !< {raw}", m.size());
+    }
+
+    #[test]
+    fn survival_curve_is_exactly_three_quarters_per_pair() {
+        // Theorem 7's proof: every read–write pair after the initial write
+        // decides with probability ≥ 1/4, so
+        // P[not decided after k+2 own steps] ≤ (3/4)^{k/2}. (The paper's
+        // text displays (1/4)^{k/2}, an evident slip: it would contradict
+        // the paper's own Corollary E ≤ 2 + 4·2.) The exact worst case over
+        // the raw configuration space meets (3/4)^{k/2} with equality at
+        // even k.
+        let p = TwoProcessor::new();
+        let m = CompactMdp::build(&p, &[Val::A, Val::B], &unreduced()).unwrap();
+        let curve = m.survival(0, 20, 1e-13, 200_000, 1);
+        assert!((curve[0] - 1.0).abs() < 1e-12);
+        for w in curve.windows(2) {
+            assert!(w[1] <= w[0] + 1e-12, "curve must be nonincreasing");
+        }
+        for j in 0..=9 {
+            let expect = 0.75f64.powi(j as i32);
+            let got = curve[2 + 2 * j];
+            assert!(
+                (got - expect).abs() < 1e-9,
+                "survival({}) = {got}, expected (3/4)^{j} = {expect}",
+                2 + 2 * j
+            );
+        }
+        // Odd steps are writes and cannot decide: the curve is flat between
+        // consecutive even ks.
+        for j in 1..=9 {
+            assert!((curve[2 * j + 1] - curve[2 * j]).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -1062,6 +1278,51 @@ mod tests {
     }
 
     #[test]
+    fn optimal_policy_replays_in_the_simulator() {
+        let p = TwoProcessor::new();
+        let m = CompactMdp::build(&p, &[Val::A, Val::B], &opts(Some(0))).unwrap();
+        let s = m.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, 1);
+        let runs = 4_000u64;
+        let mut total0 = 0u64;
+        for seed in 0..runs {
+            let out = Runner::new(&p, &[Val::A, Val::B], m.policy_adversary(&p, &s))
+                .seed(seed)
+                .stop_when(StopWhen::PidDecided(0))
+                .max_steps(100_000)
+                .run();
+            assert!(out.consistent());
+            total0 += out.steps[0];
+        }
+        let mean = total0 as f64 / runs as f64;
+        // Monte-Carlo mean under the optimal policy ≈ the exact value.
+        assert!(
+            (mean - s.value).abs() < 0.4,
+            "MC mean {mean} vs exact {}",
+            s.value
+        );
+    }
+
+    #[test]
+    fn equal_inputs_cost_exactly_two_steps() {
+        let p = TwoProcessor::new();
+        let m = CompactMdp::build(&p, &[Val::A, Val::A], &opts(Some(0))).unwrap();
+        let s = m.expected_steps(Objective::StepsOf(0), 1e-12, 10_000, 1);
+        assert!((s.value - 2.0).abs() < 1e-9, "value {}", s.value);
+    }
+
+    #[test]
+    fn total_steps_objective_is_at_least_per_processor() {
+        let p = TwoProcessor::new();
+        let inputs = [Val::A, Val::B];
+        let p0 = CompactMdp::build(&p, &inputs, &opts(Some(0))).unwrap();
+        let any = CompactMdp::build(&p, &inputs, &opts(None)).unwrap();
+        let per = p0.expected_steps(Objective::StepsOf(0), 1e-10, 100_000, 1);
+        let tot = any.expected_steps(Objective::TotalSteps, 1e-10, 100_000, 1);
+        assert!(tot.value >= per.value - 1e-9);
+        assert!(tot.value <= 20.0 + 1e-9, "total {}", tot.value);
+    }
+
+    #[test]
     fn jacobi_is_jobs_invariant_to_the_bit() {
         let p = KValued::new(TwoProcessor::new(), 4);
         let m = CompactMdp::build(&p, &[Val(0), Val(3)], &opts(None)).unwrap();
@@ -1078,13 +1339,12 @@ mod tests {
     fn kvalued_class_space_is_at_least_halved() {
         let p = KValued::new(TwoProcessor::new(), 4);
         let inputs = [Val(0), Val(3)];
-        let dense = MdpSolver::build(&p, &inputs, 2_000_000);
+        let raw = raw_configs(&p, &inputs);
         let compact = CompactMdp::build(&p, &inputs, &opts(None)).unwrap();
         assert!(
-            compact.size() * 2 <= dense.size(),
-            "compact {} vs dense {}: reduction below 2x",
+            compact.size() * 2 <= raw,
+            "compact {} vs raw {raw}: reduction below 2x",
             compact.size(),
-            dense.size()
         );
         assert!(compact.stats().sym_hits > 0);
         assert!(compact.stats().dedup_hits > 0);
@@ -1092,12 +1352,14 @@ mod tests {
 
     #[test]
     fn values_match_dense_on_kvalued_total_steps() {
+        // The quotient against the unreduced build: no symmetry, no merging.
         let p = KValued::new(TwoProcessor::new(), 4);
         let inputs = [Val(1), Val(2)];
-        let dense = MdpSolver::build(&p, &inputs, 2_000_000);
-        let dv = dense.expected_steps(&p, Objective::TotalSteps, 1e-12, 100_000);
+        let dense = CompactMdp::build(&p, &inputs, &unreduced()).unwrap();
+        let dv = dense.expected_steps(Objective::TotalSteps, 1e-12, 100_000, 1);
         let compact = CompactMdp::build(&p, &inputs, &opts(None)).unwrap();
         let cv = compact.expected_steps(Objective::TotalSteps, 1e-12, 100_000, 2);
+        assert!(compact.size() < dense.size());
         assert!(
             (dv.value - cv.value).abs() < 1e-8,
             "dense {} vs compact {}",
@@ -1109,16 +1371,10 @@ mod tests {
     #[test]
     fn off_symmetry_off_merging_reproduces_dense_size() {
         let p = TwoProcessor::new();
-        let o = CompactOptions {
-            use_symmetry: false,
-            merge_decided: false,
-            ..CompactOptions::default()
-        };
-        let compact = CompactMdp::build(&p, &[Val::A, Val::B], &o).unwrap();
-        let dense = MdpSolver::build(&p, &[Val::A, Val::B], 100_000);
-        // Without merging, classes differ from dense configs only by the
-        // dropped activation mask.
-        assert!(compact.size() <= dense.size());
+        let compact = CompactMdp::build(&p, &[Val::A, Val::B], &unreduced()).unwrap();
+        // Without merging, classes differ from raw configurations only by
+        // the dropped activation mask.
+        assert!(compact.size() <= raw_configs(&p, &[Val::A, Val::B]));
         let s = compact.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, 1);
         assert!((s.value - 10.0).abs() < 1e-6);
     }
@@ -1134,10 +1390,35 @@ mod tests {
     }
 
     #[test]
+    fn two_processor_protocol_is_consistent_completely() {
+        // The full reachable space of Fig. 1 is finite: the verdict is
+        // complete — this mechanizes Theorem 6.
+        let p = TwoProcessor::new();
+        for inputs in [[Val::A, Val::B], [Val::A, Val::A], [Val::B, Val::A]] {
+            let report = CompactExplorer::new(&p, &inputs).run();
+            assert!(report.safe(), "violations: {:?}", report.violations);
+            assert!(report.complete, "space unexpectedly unbounded");
+            // The unanimous space is tiny (9 configs); the split one larger.
+            let raw = raw_configs(&p, &inputs);
+            assert!(raw >= 9, "explored {raw}");
+        }
+    }
+
+    #[test]
+    fn deterministic_victims_are_consistent_too() {
+        for rule in DetRule::ALL {
+            let p = DetTwo::new(rule);
+            let report = CompactExplorer::new(&p, &[Val::A, Val::B]).run();
+            assert!(report.safe(), "{rule}: {:?}", report.violations);
+            assert!(report.complete, "{rule}");
+        }
+    }
+
+    #[test]
     fn compact_explorer_matches_dense_verdict() {
         let p = TwoProcessor::new();
         for inputs in [[Val::A, Val::B], [Val::A, Val::A]] {
-            let dense = Explorer::new(&p, &inputs).run();
+            let dense = CompactExplorer::new(&p, &inputs).use_symmetry(false).run();
             let (compact, stats) = CompactExplorer::new(&p, &inputs).run_with_stats();
             assert_eq!(compact.safe(), dense.safe());
             assert_eq!(compact.complete, dense.complete);
@@ -1149,15 +1430,151 @@ mod tests {
 
     #[test]
     fn compact_explorer_without_symmetry_counts_dense_configs() {
-        // With symmetry off and no merging, classes biject with dense
-        // configurations (keys keep the activation mask).
+        // With symmetry off, classes biject with raw configurations: the
+        // representatives are pairwise distinct, and they are closed under
+        // the successor relation, so they are the whole reachable space.
         let p = TwoProcessor::new();
-        let dense = Explorer::new(&p, &[Val::A, Val::B]).run();
-        let compact = CompactExplorer::new(&p, &[Val::A, Val::B])
+        let inputs = [Val::A, Val::B];
+        let visited = RefCell::new(HashSet::new());
+        let report = CompactExplorer::new(&p, &inputs)
             .use_symmetry(false)
+            .check_invariant(|cfg| {
+                visited.borrow_mut().insert(cfg.clone());
+                Ok(())
+            })
             .run();
-        assert_eq!(compact.explored, dense.explored);
-        assert_eq!(compact.levels, dense.levels);
+        let visited = visited.into_inner();
+        assert!(report.complete);
+        assert_eq!(report.explored, 37);
+        assert_eq!(visited.len(), report.explored);
+        for cfg in &visited {
+            for pid in cfg.eligible(&p) {
+                for (_, succ) in successors(&p, cfg, pid) {
+                    assert!(visited.contains(&succ), "successor escaped the walk");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn depth_and_config_bounds_mark_the_report_incomplete() {
+        let p = TwoProcessor::new();
+        let report = CompactExplorer::new(&p, &[Val::A, Val::B])
+            .max_depth(2)
+            .run();
+        assert!(!report.complete);
+        assert!(report.max_depth <= 2);
+        let report = CompactExplorer::new(&p, &[Val::A, Val::B])
+            .use_symmetry(false)
+            .max_configs(20)
+            .run();
+        assert!(!report.complete);
+        assert_eq!(report.explored, 20);
+    }
+
+    #[test]
+    fn invariant_violations_are_reported() {
+        let p = TwoProcessor::new();
+        let report = CompactExplorer::new(&p, &[Val::A, Val::B])
+            .check_invariant(|cfg| {
+                if cfg.active == 0b11 {
+                    Err("both stepped".into())
+                } else {
+                    Ok(())
+                }
+            })
+            .run();
+        assert!(!report.safe());
+        assert!(matches!(report.violations[0], Violation::Invariant { .. }));
+    }
+
+    #[test]
+    fn violation_cap_stops_mid_level() {
+        // More than 100 violations end the walk at once; the level it
+        // stopped in gets no record.
+        let p = KValued::new(TwoProcessor::new(), 8);
+        let report = CompactExplorer::new(&p, &[Val(0), Val(7)])
+            .use_symmetry(false)
+            .check_invariant(|_| Err("always".into()))
+            .run();
+        assert_eq!(report.violations.len(), 101);
+        assert!(!report.complete);
+        let recorded: usize = report.levels.iter().map(|l| l.frontier).sum();
+        assert!(recorded < 101, "{recorded} configurations in full levels");
+    }
+
+    /// A deliberately broken protocol: each processor decides its own input
+    /// immediately. The explorer must catch the inconsistency.
+    #[derive(Debug, Clone)]
+    struct DecideOwn;
+
+    impl Protocol for DecideOwn {
+        type State = (Val, bool);
+        type Reg = u8;
+
+        fn processes(&self) -> usize {
+            2
+        }
+        fn registers(&self) -> Vec<cil_registers::RegisterSpec<u8>> {
+            cil_registers::access::per_process_registers(2, 0, |_| ReaderSet::All)
+        }
+        fn init(&self, _pid: usize, input: Val) -> (Val, bool) {
+            (input, false)
+        }
+        fn choose(&self, pid: usize, _s: &(Val, bool)) -> cil_sim::Choice<cil_sim::Op<u8>> {
+            cil_sim::Choice::det(cil_sim::Op::Write(cil_registers::RegId(pid), 1))
+        }
+        fn transit(
+            &self,
+            _pid: usize,
+            s: &(Val, bool),
+            _op: &cil_sim::Op<u8>,
+            _read: Option<&u8>,
+        ) -> cil_sim::Choice<(Val, bool)> {
+            cil_sim::Choice::det((s.0, true))
+        }
+        fn decision(&self, s: &(Val, bool)) -> Option<Val> {
+            s.1.then_some(s.0)
+        }
+    }
+
+    impl Symmetric for DecideOwn {}
+
+    #[test]
+    fn broken_protocol_is_caught() {
+        let report = CompactExplorer::new(&DecideOwn, &[Val::A, Val::B]).run();
+        assert!(!report.safe());
+        assert!(report
+            .violations
+            .iter()
+            .any(|v| matches!(v, Violation::Inconsistent { .. })));
+    }
+
+    #[test]
+    fn level_stats_account_for_the_whole_exploration() {
+        let p = TwoProcessor::new();
+        let report = CompactExplorer::new(&p, &[Val::A, Val::B]).run();
+        assert!(!report.levels.is_empty());
+        // Frontiers partition the explored set; fresh counts seed the next
+        // frontier; depths are consecutive from 0.
+        let popped: usize = report.levels.iter().map(|l| l.frontier).sum();
+        assert_eq!(popped, report.explored);
+        for (i, l) in report.levels.iter().enumerate() {
+            assert_eq!(l.depth, i);
+            assert!(l.fresh <= l.generated, "level {i}");
+            let next_frontier = report.levels.get(i + 1).map_or(0, |n| n.frontier);
+            assert_eq!(l.fresh, next_frontier, "level {i}");
+        }
+    }
+
+    #[test]
+    fn on_level_streams_the_report_levels() {
+        let p = TwoProcessor::new();
+        let streamed = RefCell::new(Vec::new());
+        let report = CompactExplorer::new(&p, &[Val::A, Val::B])
+            .on_level(|l| streamed.borrow_mut().push(*l))
+            .run();
+        assert_eq!(streamed.into_inner(), report.levels);
     }
 
     #[test]

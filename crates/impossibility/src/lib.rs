@@ -5,32 +5,34 @@
 //!
 //! * [`config`] — explicit configurations and the exact probabilistic
 //!   successor relation (one entry per schedule choice × coin outcome);
-//! * [`explore`] — exhaustive bounded safety checking: consistency
-//!   (Theorems 6/8) and nontriviality over *all* schedules and coins;
+//! * [`compact`] — the exact engine: exhaustive bounded safety checking
+//!   (consistency, Theorems 6/8, and nontriviality over *all* schedules and
+//!   coins) and the adaptive adversary as a Markov decision process (exact
+//!   worst-case expected decision times and survival curves, Theorem 7 and
+//!   its Corollary, plus the optimal adversary exported as a scheduler),
+//!   over one hash-consed, symmetry-reduced state space;
+//! * [`symmetry`] — the protocol automorphisms that reduction uses;
 //! * [`valence`] — exact bivalent/univalent classification for
 //!   deterministic protocols (Lemmas 1 and 2);
 //! * [`bivalence`] — the Theorem 4 construction: an infinite schedule kept
 //!   bivalent forever, generated mechanically against any deterministic
-//!   victim;
-//! * [`mdp`] — the adaptive adversary as a Markov decision process: exact
-//!   worst-case expected decision times and survival curves (Theorem 7 and
-//!   its Corollary), plus the optimal adversary exported as a scheduler.
+//!   victim.
 //!
 //! # Example: mechanizing Theorem 6 + the Corollary of Theorem 7
 //!
 //! ```
 //! use cil_core::two::TwoProcessor;
-//! use cil_mc::explore::Explorer;
-//! use cil_mc::mdp::{MdpSolver, Objective};
+//! use cil_mc::{CompactExplorer, CompactMdp, CompactOptions, Objective};
 //! use cil_sim::Val;
 //!
 //! let p = TwoProcessor::new();
 //! // Consistency over the COMPLETE configuration space:
-//! let report = Explorer::new(&p, &[Val::A, Val::B]).run();
+//! let report = CompactExplorer::new(&p, &[Val::A, Val::B]).run();
 //! assert!(report.safe() && report.complete);
 //! // Exact worst-case expected steps for P0 (paper bound: 10):
-//! let mdp = MdpSolver::build(&p, &[Val::A, Val::B], 100_000);
-//! let solve = mdp.expected_steps(&p, Objective::StepsOf(0), 1e-12, 100_000);
+//! let opts = CompactOptions { target: Some(0), ..CompactOptions::default() };
+//! let mdp = CompactMdp::build(&p, &[Val::A, Val::B], &opts).unwrap();
+//! let solve = mdp.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, 1);
 //! assert!(solve.value <= 10.0);
 //! ```
 
@@ -40,19 +42,16 @@
 pub mod bivalence;
 pub mod compact;
 pub mod config;
-pub mod explore;
 pub mod lookahead;
-pub mod mdp;
 pub mod symmetry;
 pub mod valence;
 
 pub use bivalence::{construct_infinite_schedule, InfiniteScheduleDemo};
 pub use compact::{
-    CompactExplorer, CompactMdp, CompactOptions, CompactPolicyAdversary, CompactStats,
+    CompactExplorer, CompactMdp, CompactOptions, CompactPolicyAdversary, CompactStats, LevelStats,
+    Objective, Report, Solve, Violation,
 };
 pub use config::{is_deterministic, successors, successors_indexed, Config, IndexedSuccessor};
-pub use explore::{Explorer, LevelStats, Report, Violation};
 pub use lookahead::{min_decide_prob, LookaheadAdversary};
-pub use mdp::{MdpSolver, Objective, PolicyAdversary, Solve};
 pub use symmetry::{applicable_elems, automorphism_elems, validate_symmetries, SymElem, Symmetric};
 pub use valence::{Valence, ValenceMap};

@@ -1,7 +1,7 @@
 //! A bounded-horizon optimal adversary for protocols whose full state space
 //! is too large to enumerate (the §5/§6 three-processor protocols).
 //!
-//! The MDP solver ([`crate::mdp`]) computes the *globally* optimal adversary
+//! The MDP ([`crate::CompactMdp`]) computes the *globally* optimal adversary
 //! but needs the closed configuration space. [`LookaheadAdversary`] instead
 //! solves, at every scheduling point, the exact `h`-step game rooted at the
 //! current configuration: it picks the processor minimizing the probability

@@ -7,8 +7,8 @@
 use cil_core::deterministic::{DetRule, DetTwo};
 use cil_core::two::TwoProcessor;
 use cil_mc::{
-    construct_infinite_schedule, min_decide_prob, Explorer, MdpSolver, Objective, Valence,
-    ValenceMap,
+    construct_infinite_schedule, min_decide_prob, CompactExplorer, CompactMdp, CompactOptions,
+    Objective, Valence, ValenceMap,
 };
 use cil_sim::Val;
 
@@ -18,9 +18,9 @@ fn main() {
     // ------------------------------------------------------------------
     println!("== Theorem 6, mechanized: exhaustive consistency of Fig. 1 ==");
     let p = TwoProcessor::new();
-    let report = Explorer::new(&p, &inputs).run();
+    let report = CompactExplorer::new(&p, &inputs).run();
     println!(
-        "explored the COMPLETE space: {} configurations, complete = {}, violations = {}\n",
+        "explored the COMPLETE space: {} symmetry classes, complete = {}, violations = {}\n",
         report.explored,
         report.complete,
         report.violations.len()
@@ -28,13 +28,17 @@ fn main() {
 
     // ------------------------------------------------------------------
     println!("== Corollary of Theorem 7, made exact: the worst adaptive adversary ==");
-    let mdp = MdpSolver::build(&p, &inputs, 100_000);
-    let steps = mdp.expected_steps(&p, Objective::StepsOf(0), 1e-12, 100_000);
+    let opts = CompactOptions {
+        target: Some(0),
+        ..CompactOptions::default()
+    };
+    let mdp = CompactMdp::build(&p, &inputs, &opts).expect("Fig. 1's space is finite");
+    let steps = mdp.expected_steps(Objective::StepsOf(0), 1e-12, 100_000, 0);
     println!(
         "E[steps of P0 | optimal adversary] = {:.6}   (paper bound: 10 — tight!)",
         steps.value
     );
-    let survival = mdp.survival(&p, 0, 10, 1e-13, 100_000);
+    let survival = mdp.survival(0, 10, 1e-13, 100_000, 0);
     print!("worst-case survival:");
     for (k, s) in survival.iter().enumerate().step_by(2) {
         print!("  P[undecided after {k}] = {s:.4}");

@@ -6,8 +6,7 @@
 use cil_core::n_unbounded::NUnbounded;
 use cil_core::three_bounded::ThreeBounded;
 use cil_core::two::TwoProcessor;
-use cil_mc::explore::Explorer;
-use cil_mc::mdp::MdpSolver;
+use cil_mc::{CompactExplorer, CompactMdp, CompactOptions};
 use cil_sim::{
     Adversary, Alternator, BoxedAdversary, CrashPlan, FixedSchedule, Halt, LaggardFirst,
     LeaderFirst, Protocol, RandomScheduler, RoundRobin, Runner, Solo, SplitKeeper, Val, View,
@@ -89,12 +88,26 @@ proptest! {
 
 #[test]
 fn explorer_and_mdp_agree_on_the_state_space_size() {
-    // Two independent enumerations of the same closed space must coincide.
+    // Two enumerations of the same closed space must coincide. Both keep
+    // raw configurations: no symmetry quotient, no decided-state merging,
+    // and a depth bound the space never reaches keeps the activation mask
+    // in the MDP's keys, as the explorer's.
     let p = TwoProcessor::new();
+    let raw = CompactOptions {
+        max_depth: Some(64),
+        use_symmetry: false,
+        merge_decided: false,
+        ..CompactOptions::default()
+    };
     for inputs in [[Val::A, Val::B], [Val::A, Val::A], [Val::B, Val::A]] {
-        let report = Explorer::new(&p, &inputs).run();
+        let report = CompactExplorer::new(&p, &inputs).use_symmetry(false).run();
         assert!(report.complete);
-        let mdp = MdpSolver::build(&p, &inputs, 1_000_000);
+        let mdp = CompactMdp::build(&p, &inputs, &raw).unwrap();
+        assert_eq!(
+            mdp.stats().truncated,
+            0,
+            "inputs {inputs:?}: depth bound reached"
+        );
         assert_eq!(
             report.explored,
             mdp.size(),

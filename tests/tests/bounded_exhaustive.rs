@@ -7,7 +7,7 @@
 use cil_core::n_unbounded::NUnbounded;
 use cil_core::n_unbounded_1w1r::NUnbounded1W1R;
 use cil_core::three_bounded::{register_alphabet, BReg, ThreeBounded};
-use cil_mc::explore::Explorer;
+use cil_mc::CompactExplorer;
 use cil_sim::Val;
 use std::collections::HashSet;
 
@@ -23,7 +23,7 @@ fn depth(release: usize) -> usize {
 fn fig2_corrected_is_safe_to_depth() {
     let p = NUnbounded::three();
     for inputs in [[Val::A, Val::B, Val::A], [Val::B, Val::B, Val::A]] {
-        let report = Explorer::new(&p, &inputs)
+        let report = CompactExplorer::new(&p, &inputs)
             .max_depth(depth(14))
             .max_configs(6_000_000)
             .run();
@@ -36,7 +36,7 @@ fn fig2_corrected_is_safe_to_depth() {
 fn fig3_bounded_is_safe_to_depth() {
     let p = ThreeBounded::new();
     for inputs in [[Val::A, Val::B, Val::A], [Val::A, Val::A, Val::B]] {
-        let report = Explorer::new(&p, &inputs)
+        let report = CompactExplorer::new(&p, &inputs)
             .max_depth(depth(14))
             .max_configs(6_000_000)
             .run();
@@ -50,7 +50,7 @@ fn fig3_registers_stay_in_alphabet_exhaustively() {
     // depth bound, every register value is in the declared alphabet.
     let alphabet: HashSet<BReg> = register_alphabet().into_iter().collect();
     let p = ThreeBounded::new();
-    let report = Explorer::new(&p, &[Val::A, Val::B, Val::B])
+    let report = CompactExplorer::new(&p, &[Val::A, Val::B, Val::B])
         .max_depth(depth(13))
         .max_configs(6_000_000)
         .check_invariant(move |cfg| {
@@ -68,7 +68,7 @@ fn fig3_registers_stay_in_alphabet_exhaustively() {
 #[test]
 fn one_writer_one_reader_variant_is_safe_to_depth() {
     let p = NUnbounded1W1R::three();
-    let report = Explorer::new(&p, &[Val::A, Val::B, Val::A])
+    let report = CompactExplorer::new(&p, &[Val::A, Val::B, Val::A])
         .max_depth(depth(14))
         .max_configs(6_000_000)
         .run();
@@ -82,7 +82,7 @@ fn literal_fig2_is_safe_at_shallow_depth_only() {
     // bounded model checking alone missed it and randomized search was
     // needed. Document the boundary: shallow exhaustion stays clean.
     let p = NUnbounded::literal_fig2(3);
-    let report = Explorer::new(&p, &[Val::A, Val::B, Val::A])
+    let report = CompactExplorer::new(&p, &[Val::A, Val::B, Val::A])
         .max_depth(depth(12))
         .max_configs(6_000_000)
         .run();

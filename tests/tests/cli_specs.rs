@@ -44,12 +44,12 @@ fn assert_exit_codes(cases: impl IntoIterator<Item = (String, &'static [i32])>) 
 const COMMANDS: &[&str] = &[
     "run --protocol {P} --inputs {I} --max-steps 300",
     "sweep --protocol {P} --inputs {I} --trials 3 --max-steps 300 --jobs 1",
-    "check --protocol {P} --inputs {I} --depth 3 --max-configs 2000 --jobs 1",
+    "check --protocol {P} --inputs {I} --depth 3 --max-configs 2000",
     "survival --protocol {P} --inputs {I} --depth 3 --kmax 2 --max-configs 2000 --jobs 1",
     "threads --protocol {P} --inputs {I}",
     "conc stress --protocol {P} --inputs {I} --trials 2 --budget 100 --jobs 1",
     "conc explore {P} --inputs {I} --depth-bound 3 --jobs 1 --cross-check",
-    "serve {P} --inputs {I} --instances 3 --max-steps 300 --shards 1 --out none",
+    "serve {P} --inputs {I} --instances 3 --max-steps 300 --shards 1",
     "audit {P}",
     "lint {P}",
     "prove {P} --max-configs 2000",
@@ -153,9 +153,12 @@ fn inputs_the_engines_cannot_hold_exit_2() {
         format!("survival --protocol n:70 --inputs {seventy} --depth 2"),
         format!("conc explore n:70 --inputs {seventy} --depth-bound 2 --cross-check"),
         "prove n:70".to_string(),
-        // mdp analyses Fig. 1 only.
+        // mdp analyses Fig. 1 only, whose registers hold only a and b.
         "mdp --protocol kvalued:4".to_string(),
         "mdp --protocol fig2 --inputs a,b".to_string(),
+        "mdp --inputs 0,7".to_string(),
+        "mdp --inputs 5,5".to_string(),
+        "mdp --protocol two --inputs 0,2".to_string(),
     ]);
     assert_exit_codes(cases.into_iter().map(|line| (line, &[2][..])));
 
@@ -165,7 +168,7 @@ fn inputs_the_engines_cannot_hold_exit_2() {
             format!("run --protocol n:70 --inputs {seventy} --max-steps 2000"),
             format!("sweep --protocol n:70 --inputs {seventy} --trials 1 --max-steps 2000"),
             format!("conc stress --protocol n:70 --inputs {seventy} --trials 1 --budget 200"),
-            format!("serve n:70 --inputs {seventy} --instances 1 --max-steps 2000 --out none"),
+            format!("serve n:70 --inputs {seventy} --instances 1 --max-steps 2000"),
         ]
         .map(|line| (line, &[0, 1][..])),
     );

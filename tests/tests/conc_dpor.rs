@@ -14,7 +14,7 @@ use cil_conc::{
 use cil_core::kvalued::KValued;
 use cil_core::two::TwoProcessor;
 use cil_core::KRegCodec;
-use cil_mc::Explorer;
+use cil_mc::CompactExplorer;
 use cil_sim::{PackCodec, TrialOutcome, Val};
 use proptest::prelude::*;
 
@@ -63,7 +63,7 @@ fn dpor_outcomes_match_the_simulator_for_the_two_processor_protocol() {
     assert_eq!(check.sim_executions, Some(naive.executions));
 
     // Both enumerations agree with the BFS model checker's safety verdict.
-    let report = Explorer::new(&p, &inputs).max_depth(8).run();
+    let report = CompactExplorer::new(&p, &inputs).max_depth(8).run();
     assert!(report.safe());
     assert_eq!(naive.decision_vectors, reduced.decision_vectors);
     assert_eq!(naive.terminal_configs, reduced.terminal_configs);

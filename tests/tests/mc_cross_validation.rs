@@ -5,9 +5,8 @@
 use cil_core::deterministic::{DetRule, DetTwo};
 use cil_core::two::TwoProcessor;
 use cil_mc::config::{successors, Config};
-use cil_mc::explore::Explorer;
-use cil_mc::mdp::{MdpSolver, Objective};
 use cil_mc::valence::{Valence, ValenceMap};
+use cil_mc::{CompactExplorer, CompactMdp, CompactOptions, Objective};
 use cil_sim::{FixedSchedule, RandomScheduler, Runner, StopWhen, Val};
 
 #[test]
@@ -46,14 +45,22 @@ fn univalent_configurations_predict_simulation_outcomes() {
 
 #[test]
 fn mdp_value_matches_monte_carlo_under_its_own_policy() {
+    // The unreduced build keys on raw configurations (no symmetry quotient,
+    // no decided-state merging), so its policy is replayed without mapping
+    // a choice back through a symmetry element.
     let p = TwoProcessor::new();
     let inputs = [Val::A, Val::B];
-    let mdp = MdpSolver::build(&p, &inputs, 100_000);
-    let solve = mdp.expected_steps(&p, Objective::StepsOf(1), 1e-12, 100_000);
+    let unreduced = CompactOptions {
+        use_symmetry: false,
+        merge_decided: false,
+        ..CompactOptions::default()
+    };
+    let mdp = CompactMdp::build(&p, &inputs, &unreduced).unwrap();
+    let solve = mdp.expected_steps(Objective::StepsOf(1), 1e-12, 100_000, 1);
     let runs = 30_000u64;
     let mut total = 0u64;
     for seed in 0..runs {
-        let out = Runner::new(&p, &inputs, mdp.policy_adversary(&solve))
+        let out = Runner::new(&p, &inputs, mdp.policy_adversary(&p, &solve))
             .seed(seed)
             .stop_when(StopWhen::PidDecided(1))
             .max_steps(100_000)
@@ -71,23 +78,33 @@ fn mdp_value_matches_monte_carlo_under_its_own_policy() {
 #[test]
 fn no_monte_carlo_run_escapes_the_enumerated_state_space() {
     // Every configuration visited by a simulation must be in the MDP's
-    // closed enumeration (registers + states), for many seeds.
+    // closed enumeration (registers + states), for many seeds. The build
+    // keys on raw configurations: no symmetry quotient, decided states stay
+    // distinct instead of merging into one token, and a depth bound the
+    // space never reaches puts the activation mask into the key.
     let p = TwoProcessor::new();
     let inputs = [Val::B, Val::A];
-    let mdp = MdpSolver::build(&p, &inputs, 100_000);
+    let raw = CompactOptions {
+        max_depth: Some(64),
+        use_symmetry: false,
+        merge_decided: false,
+        ..CompactOptions::default()
+    };
+    let mdp = CompactMdp::build(&p, &inputs, &raw).unwrap();
+    assert_eq!(mdp.stats().truncated, 0, "the depth bound cut the space");
     for seed in 0..500u64 {
         let out = Runner::new(&p, &inputs, RandomScheduler::new(seed))
             .seed(seed)
             .run();
-        // Final configuration must be known to the solver modulo the
-        // activation mask, which the solver tracks too. Rebuild it:
+        // Final configuration must be known to the solver, activation mask
+        // included. Rebuild it:
         let cfg = Config::<TwoProcessor> {
             states: out.final_states.clone(),
             regs: out.final_regs.clone(),
             active: (u64::from(out.steps[0] > 0)) | (u64::from(out.steps[1] > 0) << 1),
         };
         assert!(
-            mdp.find(&cfg).is_some(),
+            mdp.find(&p, &cfg).is_some(),
             "seed {seed}: final config missing from enumeration"
         );
     }
@@ -99,7 +116,7 @@ fn explorer_matches_brute_force_monte_carlo_on_safety() {
     // can never find what exhaustion proved absent).
     let p = TwoProcessor::new();
     for inputs in [[Val::A, Val::B], [Val::B, Val::B]] {
-        let report = Explorer::new(&p, &inputs).run();
+        let report = CompactExplorer::new(&p, &inputs).run();
         assert!(report.safe() && report.complete);
         for seed in 0..2_000u64 {
             let out = Runner::new(&p, &inputs, RandomScheduler::new(seed))

@@ -1,7 +1,8 @@
-//! Cross-validation between the dense MDP solver (`cil_mc::mdp`) and the
-//! hash-consed, symmetry-reduced compact backend (`cil_mc::compact`).
+//! Cross-validation of the exact engine (`cil_mc::compact`) against an
+//! independent dense enumeration, the [`oracle`] module below.
 //!
-//! The compact backend must be an *observation-preserving* quotient: same
+//! The hash-consed, symmetry-reduced engine must be an
+//! *observation-preserving* quotient of the raw configuration space: same
 //! worst-case expected steps for every objective, same survival curves,
 //! and a policy that is still optimal when scored against the dense value
 //! function. Protocols with infinite reachable spaces (the paper's §5/§6
@@ -16,14 +17,164 @@ use cil_core::naive::Naive;
 use cil_core::three_bounded::ThreeBounded;
 use cil_core::two::TwoProcessor;
 use cil_mc::config::{successors, Config};
-use cil_mc::mdp::{MdpSolver, Objective};
-use cil_mc::{CompactMdp, CompactOptions, Symmetric};
+use cil_mc::{CompactExplorer, CompactMdp, CompactOptions, Objective, Symmetric};
 use cil_sim::{Runner, StopWhen, Val};
 use std::collections::HashSet;
 
 const VAL_TOL: f64 = 1e-9;
 const CURVE_TOL: f64 = 1e-12;
 const KMAX: usize = 12;
+
+/// The reference the engine is checked against: a dense breadth-first
+/// enumeration of raw [`Config`]s through [`successors`], an in-place
+/// Gauss–Seidel value iteration and a layered survival fixpoint. It shares
+/// only the successor relation with `cil_mc::compact` — no interning,
+/// canonicalization, merging, CSR layout or Jacobi sweep.
+mod oracle {
+    use cil_mc::config::{successors, Config};
+    use cil_mc::Objective;
+    use cil_sim::{Protocol, Val};
+    use std::collections::HashMap;
+
+    /// Sweep cap for both fixpoints; every converging solve here stops far
+    /// below it.
+    const MAX_SWEEPS: usize = 1_000_000;
+
+    /// The enumerated space. Index 0 is the initial configuration.
+    pub struct Dense<P: Protocol> {
+        configs: Vec<Config<P>>,
+        index: HashMap<Config<P>, usize>,
+        /// Per configuration: `(pid, [(probability, successor index)])` for
+        /// every eligible processor.
+        #[allow(clippy::type_complexity)]
+        moves: Vec<Vec<(usize, Vec<(f64, usize)>)>>,
+    }
+
+    impl<P: Protocol> Dense<P> {
+        /// Enumerates every configuration reachable from `inputs`;
+        /// configurations first reached at depth `max_depth` keep no moves.
+        pub fn build(p: &P, inputs: &[Val], max_depth: Option<usize>) -> Self {
+            let init = Config::initial(p, inputs);
+            let mut configs = vec![init.clone()];
+            let mut depths = vec![0usize];
+            let mut index = HashMap::from([(init, 0usize)]);
+            let mut moves = Vec::new();
+            let mut next = 0;
+            while next < configs.len() {
+                let cfg = configs[next].clone();
+                let depth = depths[next];
+                let mut cfg_moves = Vec::new();
+                if max_depth.is_none_or(|d| depth < d) {
+                    for pid in cfg.eligible(p) {
+                        let mut branches = Vec::new();
+                        for (pr, succ) in successors(p, &cfg, pid) {
+                            let j = *index.entry(succ.clone()).or_insert_with(|| {
+                                configs.push(succ);
+                                depths.push(depth + 1);
+                                configs.len() - 1
+                            });
+                            branches.push((pr, j));
+                        }
+                        cfg_moves.push((pid, branches));
+                    }
+                }
+                moves.push(cfg_moves);
+                next += 1;
+            }
+            Dense {
+                configs,
+                index,
+                moves,
+            }
+        }
+
+        pub fn size(&self) -> usize {
+            self.configs.len()
+        }
+
+        pub fn find(&self, cfg: &Config<P>) -> Option<usize> {
+            self.index.get(cfg).copied()
+        }
+
+        /// Worst-case expected cost of every configuration, by in-place
+        /// Gauss–Seidel value iteration from 0.
+        pub fn expected_steps(&self, p: &P, objective: Objective, tol: f64) -> Vec<f64> {
+            let absorbing: Vec<bool> = self
+                .configs
+                .iter()
+                .map(|cfg| match objective {
+                    Objective::StepsOf(t) => p.decision(&cfg.states[t]).is_some(),
+                    Objective::TotalSteps => cfg.eligible(p).is_empty(),
+                })
+                .collect();
+            let cost = |pid: usize| match objective {
+                Objective::StepsOf(t) => f64::from(u8::from(pid == t)),
+                Objective::TotalSteps => 1.0,
+            };
+            let mut v = vec![0.0f64; self.size()];
+            for _ in 0..MAX_SWEEPS {
+                let mut delta = 0.0f64;
+                for i in 0..self.size() {
+                    if absorbing[i] || self.moves[i].is_empty() {
+                        continue;
+                    }
+                    let best = self.moves[i]
+                        .iter()
+                        .map(|(pid, branches)| {
+                            cost(*pid) + branches.iter().map(|&(pr, j)| pr * v[j]).sum::<f64>()
+                        })
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    delta = delta.max((best - v[i]).abs());
+                    v[i] = best;
+                }
+                if delta < tol {
+                    break;
+                }
+            }
+            v
+        }
+
+        /// Worst-case `P[target undecided after k of its own steps]` from
+        /// the initial configuration, `k = 0..=k_max`: one least fixpoint
+        /// per layer, where a target step consumes one unit of `k` and any
+        /// other step stays in the layer.
+        pub fn survival(&self, p: &P, target: usize, k_max: usize, tol: f64) -> Vec<f64> {
+            let undecided: Vec<bool> = self
+                .configs
+                .iter()
+                .map(|cfg| p.decision(&cfg.states[target]).is_none())
+                .collect();
+            let mut prev: Vec<f64> = undecided.iter().map(|&u| f64::from(u8::from(u))).collect();
+            let mut curve = vec![prev[0]];
+            for _ in 0..k_max {
+                let mut g = vec![0.0f64; self.size()];
+                for _ in 0..MAX_SWEEPS {
+                    let mut delta = 0.0f64;
+                    for i in 0..self.size() {
+                        if !undecided[i] {
+                            continue;
+                        }
+                        let best = self.moves[i]
+                            .iter()
+                            .map(|(pid, branches)| {
+                                let layer = if *pid == target { &prev } else { &g };
+                                branches.iter().map(|&(pr, j)| pr * layer[j]).sum::<f64>()
+                            })
+                            .fold(0.0f64, f64::max);
+                        delta = delta.max((best - g[i]).abs());
+                        g[i] = best;
+                    }
+                    if delta < tol {
+                        break;
+                    }
+                }
+                curve.push(g[0]);
+                prev = g;
+            }
+            curve
+        }
+    }
+}
 
 fn opts(depth: Option<usize>, target: Option<usize>) -> CompactOptions {
     CompactOptions {
@@ -48,38 +199,33 @@ fn assert_backends_agree<P: Symmetric>(
     depth: Option<usize>,
     compare_steps: bool,
 ) {
-    let dense = match depth {
-        Some(d) => MdpSolver::build_bounded(p, inputs, 2_000_000, d),
-        None => MdpSolver::build(p, inputs, 2_000_000),
-    };
+    let dense = oracle::Dense::build(p, inputs, depth);
     let compact_any = CompactMdp::build(p, inputs, &opts(depth, None)).unwrap();
     assert!(
         compact_any.size() <= dense.size(),
         "{name}: quotient larger than the dense space"
     );
     if compare_steps {
-        let dt = dense.expected_steps(p, Objective::TotalSteps, 1e-13, 1_000_000);
+        let dt = dense.expected_steps(p, Objective::TotalSteps, 1e-13)[0];
         let ct = compact_any.expected_steps(Objective::TotalSteps, 1e-13, 1_000_000, 1);
         assert!(
-            (dt.value - ct.value).abs() <= VAL_TOL,
-            "{name} TotalSteps: dense {} vs compact {}",
-            dt.value,
+            (dt - ct.value).abs() <= VAL_TOL,
+            "{name} TotalSteps: dense {dt} vs compact {}",
             ct.value
         );
     }
     for t in 0..p.processes() {
         let compact_t = CompactMdp::build(p, inputs, &opts(depth, Some(t))).unwrap();
         if compare_steps {
-            let ds = dense.expected_steps(p, Objective::StepsOf(t), 1e-13, 1_000_000);
+            let ds = dense.expected_steps(p, Objective::StepsOf(t), 1e-13)[0];
             let cs = compact_t.expected_steps(Objective::StepsOf(t), 1e-13, 1_000_000, 1);
             assert!(
-                (ds.value - cs.value).abs() <= VAL_TOL,
-                "{name} StepsOf({t}): dense {} vs compact {}",
-                ds.value,
+                (ds - cs.value).abs() <= VAL_TOL,
+                "{name} StepsOf({t}): dense {ds} vs compact {}",
                 cs.value
             );
         }
-        let dcurve = dense.survival(p, t, KMAX, 1e-14, 1_000_000);
+        let dcurve = dense.survival(p, t, KMAX, 1e-14);
         let ccurve = compact_t.survival(t, KMAX, 1e-14, 1_000_000, 1);
         assert_eq!(dcurve.len(), ccurve.len(), "{name}: curve lengths");
         for (k, (a, b)) in dcurve.iter().zip(&ccurve).enumerate() {
@@ -205,8 +351,8 @@ fn compact_policy_is_optimal_under_dense_values() {
     // moves are fine, suboptimal ones are not.
     let p = KValued::new(TwoProcessor::new(), 4);
     let inputs = [Val(0), Val(3)];
-    let dense = MdpSolver::build(&p, &inputs, 2_000_000);
-    let dsolve = dense.expected_steps(&p, Objective::TotalSteps, 1e-13, 1_000_000);
+    let dense = oracle::Dense::build(&p, &inputs, None);
+    let dvalues = dense.expected_steps(&p, Objective::TotalSteps, 1e-13);
     let compact = CompactMdp::build(&p, &inputs, &opts(None, None)).unwrap();
     let csolve = compact.expected_steps(Objective::TotalSteps, 1e-13, 1_000_000, 1);
 
@@ -222,7 +368,7 @@ fn compact_policy_is_optimal_under_dense_values() {
             let q = |pid: usize| -> f64 {
                 1.0 + successors(&p, &cfg, pid)
                     .into_iter()
-                    .map(|(pr, succ)| pr * dsolve.values[dense.find(&succ).unwrap()])
+                    .map(|(pr, succ)| pr * dvalues[dense.find(&succ).unwrap()])
                     .sum::<f64>()
             };
             let best = eligible
@@ -294,5 +440,70 @@ fn two_survival_curve_is_exactly_the_corollary_geometric_decay() {
             (v - expect).abs() <= CURVE_TOL,
             "survival[{k}] = {v}, expected {expect}"
         );
+    }
+}
+
+#[test]
+fn golden_configuration_counts() {
+    // Without symmetry every class is one raw configuration. Nothing else
+    // pins these counts, which EXPERIMENTS.md and BENCH_mdp.json print.
+    fn assert_count<P: Symmetric>(
+        name: &str,
+        p: &P,
+        inputs: &[Val],
+        depth: Option<usize>,
+        n: usize,
+    ) {
+        let mut explorer = CompactExplorer::new(p, inputs).use_symmetry(false);
+        if let Some(d) = depth {
+            explorer = explorer.max_depth(d);
+        }
+        let report = explorer.run();
+        assert_eq!(report.explored, n, "{name}");
+        assert_eq!(report.complete, depth.is_none(), "{name}");
+        assert_eq!(
+            oracle::Dense::build(p, inputs, depth).size(),
+            n,
+            "{name}: oracle"
+        );
+    }
+    let two = TwoProcessor::new();
+    assert_count("two(a,b)", &two, &[Val::A, Val::B], None, 37);
+    assert_count(
+        "kvalued:4",
+        &KValued::new(TwoProcessor::new(), 4),
+        &[Val(0), Val(3)],
+        None,
+        128,
+    );
+    assert_count(
+        "kvalued:8",
+        &KValued::new(TwoProcessor::new(), 8),
+        &[Val(0), Val(7)],
+        None,
+        208,
+    );
+    assert_count(
+        "fig2",
+        &NUnbounded::three(),
+        &[Val::A, Val::B, Val::A],
+        Some(11),
+        1013,
+    );
+    assert_count(
+        "fig3",
+        &ThreeBounded::new(),
+        &[Val::A, Val::B, Val::A],
+        Some(11),
+        1077,
+    );
+    // Two independent enumerations of each closed Fig. 1 space coincide.
+    for inputs in [[Val::A, Val::A], [Val::B, Val::A]] {
+        let report = CompactExplorer::new(&two, &inputs)
+            .use_symmetry(false)
+            .run();
+        assert!(report.complete);
+        let dense = oracle::Dense::build(&two, &inputs, None);
+        assert_eq!(report.explored, dense.size(), "{inputs:?}");
     }
 }
