@@ -3,6 +3,9 @@
 
 use std::collections::HashMap;
 
+/// The most worker threads `--jobs` or `--shards` may ask for.
+pub const MAX_WORKERS: usize = 1024;
+
 /// Parsed command line: a subcommand plus `--key value` options, `--flag`
 /// switches, and bare positional arguments (e.g. `cil replay out.jsonl`).
 #[derive(Debug, Default)]
@@ -74,6 +77,24 @@ impl Args {
         }
     }
 
+    /// Worker-thread count (`--jobs`, `--shards`). `0`, the default, means
+    /// every available core; counts above [`MAX_WORKERS`] are refused, since
+    /// each worker is an OS thread.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the option if the value fails to parse or
+    /// exceeds [`MAX_WORKERS`].
+    pub fn get_workers(&self, key: &str) -> Result<usize, String> {
+        let workers = self.get_u64(key, 0)?;
+        if workers > MAX_WORKERS as u64 {
+            return Err(format!(
+                "--{key} takes at most {MAX_WORKERS} worker threads (0 = all cores), got {workers}"
+            ));
+        }
+        Ok(workers as usize)
+    }
+
     /// Whether a boolean flag was given.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
@@ -141,6 +162,21 @@ mod tests {
         let a = Args::parse(toks("run --seed xyz"), &[]).unwrap();
         let err = a.get_u64("seed", 0).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
+    }
+
+    #[test]
+    fn worker_counts_are_capped_and_named() {
+        let workers = |value: &str| {
+            Args::parse(toks(&format!("sweep --jobs {value}")), &[])
+                .unwrap()
+                .get_workers("jobs")
+        };
+        assert_eq!(workers("0").unwrap(), 0);
+        assert_eq!(workers("1024").unwrap(), MAX_WORKERS);
+        for bad in ["1025", "x"] {
+            let err = workers(bad).unwrap_err();
+            assert!(err.contains("--jobs"), "{err}");
+        }
     }
 
     #[test]

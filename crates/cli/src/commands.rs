@@ -130,7 +130,8 @@ USAGE:
                 defaults to alternating a,b. With --instances, stats and
                 serve.* metric exports are a pure function of
                 (--seed, --instances) — byte-identical at any --shards;
-                --duration / --target-decisions are load-generator modes
+                --duration / --target-decisions are load-generator modes;
+                --slots takes at most 65536
   cil help
 
 PROTOCOLS <P>: one grammar for every subcommand that takes <P>:
@@ -149,8 +150,9 @@ ADVERSARIES <A>: round-robin | random | split-keeper | laggard | leader
 STRATEGIES <S> (conc): random | pct | pct:<d> — pct randomizes thread
       priorities with d-1 change points (detection probability >= 1/(n*k^(d-1)))
 RULES <R>: always-adopt | always-keep | adopt-if-greater | alternate
-JOBS: --jobs 0 (default) = all cores, 1 = serial; results are identical at
-      every setting — only wall time changes.
+JOBS: --jobs 0 (default) = all cores, 1 = serial, at most 1024 (serve's
+      --shards alike); results are identical at every setting — only wall
+      time changes.
 EXACT ENGINE: check, mdp and survival enumerate one hash-consed state
       space with one representative per symmetry orbit.
 OBSERVABILITY: --progress renders a live rate/ETA (sweep) or per-level BFS
@@ -785,7 +787,7 @@ fn sweep_one<P: Protocol + Sync + 'static, C>(
     let trials = args.get_u64("trials", 1_000)?;
     let root_seed = args.get_u64("seed", 0)?;
     let max_steps = args.get_u64("max-steps", 1_000_000)?;
-    let jobs = args.get_u64("jobs", 0)? as usize;
+    let jobs = args.get_workers("jobs")?;
     let spec = args.get_or("adversary", "random");
     // Validate the adversary spec once, up front, so a typo fails fast
     // instead of panicking inside a worker.
@@ -988,7 +990,7 @@ pub fn mdp(args: &Args) -> Result<String, String> {
         return Err("--inputs: the mdp command analyses the 2-processor protocol".into());
     }
     let kmax = args.get_u64("kmax", 20)? as usize;
-    let jobs = args.get_u64("jobs", 0)? as usize;
+    let jobs = args.get_workers("jobs")?;
     let timings = timings_flag(args)?;
     let timer = if timings {
         SpanTimer::monotonic()
@@ -1092,7 +1094,7 @@ fn survival_one<P: Symmetric, C>(protocol: &P, _codec: &C, args: &Args) -> Resul
         ));
     }
     let kmax = args.get_u64("kmax", 20)? as usize;
-    let jobs = args.get_u64("jobs", 0)? as usize;
+    let jobs = args.get_workers("jobs")?;
     let max_configs = args.get_u64("max-configs", 2_000_000)? as usize;
     let depth = match args.get("depth") {
         Some(_) => Some(args.get_u64("depth", 0)? as usize),
@@ -1289,6 +1291,10 @@ pub fn serve(args: &Args) -> Result<String, String> {
     )
 }
 
+/// The most arena slots `--slots` may give one serve shard; each slot holds
+/// a register frame and per-processor state.
+const MAX_SLOTS: usize = 65_536;
+
 /// Picks the admission limit from `--instances` / `--duration` /
 /// `--target-decisions` (mutually exclusive, at least 1; default 100 000
 /// instances).
@@ -1331,12 +1337,17 @@ where
     };
     let limit = serve_limit(args)?;
     let root_seed = args.get_u64("seed", 0)?;
-    let shards = args.get_u64("shards", 0)? as usize;
+    let shards = args.get_workers("shards")?;
     let slots = args.get_u64("slots", cil_serve::DEFAULT_SLOTS as u64)? as usize;
     let batch = args.get_u64("batch", cil_serve::DEFAULT_BATCH)?;
     let max_steps = args.get_u64("max-steps", cil_serve::DEFAULT_MAX_STEPS)?;
     if slots == 0 || batch == 0 {
         return Err("--slots and --batch must be at least 1".into());
+    }
+    if slots > MAX_SLOTS {
+        return Err(format!(
+            "--slots takes at most {MAX_SLOTS} resident instances per shard, got {slots}"
+        ));
     }
     let timings = timings_flag(args)?;
     let registry = Registry::new();
@@ -1459,7 +1470,7 @@ fn conc_config(args: &Args) -> Result<StressConfig, CliFailure> {
         trials: args.get_u64("trials", 256)?,
         root_seed: args.get_u64("seed", 0)?,
         budget: args.get_u64("budget", 4096)?,
-        jobs: args.get_u64("jobs", 0)? as usize,
+        jobs: args.get_workers("jobs")?,
         strategy: StrategySpec::parse(args.get_or("strategy", "random"))?,
         max_failure_samples: 5,
     })
@@ -1945,7 +1956,7 @@ where
     let defaults = DporConfig::default();
     let cfg = DporConfig {
         depth_bound: args.get_u64("depth-bound", defaults.depth_bound)?,
-        jobs: args.get_u64("jobs", 0)? as usize,
+        jobs: args.get_workers("jobs")?,
         naive: args.flag("naive"),
         hunt_preemptions: if args.flag("no-hunt") {
             None

@@ -24,6 +24,16 @@
 //!   moving on; finished slots fold their result into shard-local
 //!   [`SweepStats`] and are immediately refilled.
 //!
+//! # Shard-local bookkeeping
+//!
+//! Each shard keeps its stats, decided-value counts and latency histogram
+//! to itself and hands them back at join, where they are merged. The only
+//! per-instance write to memory shared between shards is the decided
+//! counter of [`ServeLimit::Decisions`] mode (`--target-decisions`), the one
+//! mode whose admission reads it; otherwise a shard touches shared memory
+//! once per claim of a chunk of instance indices. An attached
+//! [`SweepObserver`] records into its shared registry per instance.
+//!
 //! # Determinism contract
 //!
 //! In [`ServeLimit::Instances`] mode, each instance `i` is seeded with the
@@ -469,18 +479,15 @@ where
             ServeLimit::Duration(d) => Some(started + d),
             _ => None,
         };
-        let latency = LogHistogram::new(LATENCY_SUB_BITS);
 
-        let shard_results: Vec<(SweepStats, BTreeMap<u64, u64>)> = if shards == 1 {
-            vec![self.shard_loop(&cursor, &decided_total, deadline, &latency, observer)]
+        let shard_results: Vec<ShardResult> = if shards == 1 {
+            vec![self.shard_loop(&cursor, &decided_total, deadline, observer)]
         } else {
             let mut parts = Vec::with_capacity(shards);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..shards)
                     .map(|_| {
-                        scope.spawn(|| {
-                            self.shard_loop(&cursor, &decided_total, deadline, &latency, observer)
-                        })
+                        scope.spawn(|| self.shard_loop(&cursor, &decided_total, deadline, observer))
                     })
                     .collect();
                 for handle in handles {
@@ -496,11 +503,19 @@ where
 
         let mut stats = SweepStats::new(8);
         let mut decided_values = BTreeMap::new();
-        for (part, values) in shard_results {
+        let mut latency = LogHistogramSnapshot {
+            sub_bits: LATENCY_SUB_BITS,
+            buckets: BTreeMap::new(),
+            sum: 0,
+        };
+        for (part, values, part_latency) in shard_results {
             stats.merge(part);
             for (value, count) in values {
                 *decided_values.entry(value).or_insert(0) += count;
             }
+            latency
+                .merge(&part_latency)
+                .expect("every shard histogram has the same resolution");
         }
         let instances = stats.trials;
         ServeReport {
@@ -509,7 +524,7 @@ where
             instances,
             shards,
             elapsed_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            latency: latency.snapshot(),
+            latency,
         }
     }
 
@@ -527,23 +542,28 @@ where
         }
     }
 
+    /// One shard: fills and sweeps its own arena until admission closes and
+    /// the arena drains, then hands back what it recorded.
     fn shard_loop(
         &self,
         cursor: &AtomicU64,
         decided_total: &AtomicU64,
         deadline: Option<Instant>,
-        latency: &LogHistogram,
         observer: Option<&SweepObserver>,
-    ) -> (SweepStats, BTreeMap<u64, u64>) {
+    ) -> ShardResult {
         let trial_at = |index: u64| Trial {
             index,
             seed: SplitMix64::jump(self.root_seed, index).next_u64(),
         };
+        // Only `Decisions` admission reads the shared counter, so the other
+        // modes skip its per-instance write to a cache line all shards use.
+        let counts_decisions = matches!(self.limit, ServeLimit::Decisions(_));
         let mut slots: Vec<InstanceSlot<'_, P, C>> = (0..self.slots)
             .map(|_| InstanceSlot::new(self.protocol, self.codec, &self.inputs, self.max_steps))
             .collect();
         let mut stats = SweepStats::new(8);
         let mut values: BTreeMap<u64, u64> = BTreeMap::new();
+        let latency = LogHistogram::new(LATENCY_SUB_BITS);
         // Locally claimed-but-unstarted index range.
         let mut pending = 0u64..0u64;
         let mut active = 0usize;
@@ -570,7 +590,9 @@ where
                     active -= 1;
                     if let Some(v) = done.value {
                         *values.entry(v.0).or_insert(0) += 1;
-                        decided_total.fetch_add(1, Ordering::Relaxed);
+                        if counts_decisions {
+                            decided_total.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                     latency.observe(done.latency_ns);
                     if let Some(o) = observer {
@@ -589,9 +611,13 @@ where
                 }
             }
         }
-        (stats, values)
+        (stats, values, latency.snapshot())
     }
 }
+
+/// What one shard hands back at join: its sweep statistics, decided-value
+/// counts and latency histogram.
+type ShardResult = (SweepStats, BTreeMap<u64, u64>, LogHistogramSnapshot);
 
 #[cfg(test)]
 mod tests {
@@ -680,13 +706,28 @@ mod tests {
     #[test]
     fn latency_histogram_covers_every_instance() {
         let p = TwoProcessor;
-        let inputs = [Val::A, Val::A];
-        let report = ServeEngine::new(&p, &PackCodec, &inputs, ServeLimit::Instances(64))
-            .shards(2)
-            .run();
-        assert_eq!(report.latency.count(), 64);
-        assert!(report.latency.quantile(0.5).is_some());
-        assert!(report.decisions_per_sec() > 0.0);
+        let inputs = [Val::A, Val::B];
+        let limits = [
+            ServeLimit::Instances(300),
+            ServeLimit::Duration(Duration::from_millis(20)),
+            ServeLimit::Decisions(300),
+        ];
+        for limit in limits {
+            for shards in 1..=3 {
+                let report = ServeEngine::new(&p, &PackCodec, &inputs, limit)
+                    .shards(shards)
+                    .slots(5)
+                    .run();
+                assert!(report.instances > 0, "{limit:?} at {shards} shards");
+                assert_eq!(
+                    report.latency.count(),
+                    report.instances,
+                    "{limit:?} at {shards} shards"
+                );
+                assert!(report.latency.quantile(0.5).is_some());
+                assert!(report.decisions_per_sec() > 0.0);
+            }
+        }
     }
 
     #[test]

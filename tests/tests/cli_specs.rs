@@ -160,6 +160,30 @@ fn inputs_the_engines_cannot_hold_exit_2() {
         "mdp --inputs 5,5".to_string(),
         "mdp --protocol two --inputs 0,2".to_string(),
     ]);
+    // Every worker is an OS thread and every arena slot a resident frame,
+    // so the counts are capped before anything is spawned or allocated.
+    // Each line ends with the capped option, which the message must name.
+    for line in [
+        "sweep --protocol two --inputs a,b --trials 3 --jobs 1025",
+        "mdp --inputs a,b --kmax 2 --jobs 1025",
+        "survival --protocol two --inputs a,b --kmax 2 --jobs 1025",
+        "conc stress --protocol two --inputs a,b --trials 2 --jobs 1025",
+        "conc shrink --protocol two --inputs a,b --trial 0 --jobs 1025",
+        "conc explore two --inputs a,b --depth-bound 3 --jobs 1025",
+        "serve two --instances 3 --shards 1025",
+        "serve two --instances 3 --slots 65537",
+    ] {
+        let option = line.split_whitespace().rev().nth(1).expect("an option");
+        match dispatch_full(line.split_whitespace().map(String::from)) {
+            Err(failure) => assert!(
+                failure.message().contains(option),
+                "cil {line}: {}",
+                failure.message()
+            ),
+            Ok(_) => panic!("cil {line} was accepted"),
+        }
+        cases.push(line.to_string());
+    }
     assert_exit_codes(cases.into_iter().map(|line| (line, &[2][..])));
 
     // The engines without an activity mask keep accepting any count.

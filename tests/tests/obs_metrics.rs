@@ -1,9 +1,11 @@
 //! Property tests for the `cil-obs` metrics layer: snapshot merging must
 //! be commutative and associative (the jobs-invariance contract — shard
 //! order never shows in a merged export), merges must preserve counts and
-//! sums, log-histogram quantile bounds must contain the exact nearest-rank
-//! quantile, saturating arithmetic must never wrap, and shape mismatches
-//! must surface as errors naming the offending metric.
+//! sums, log histograms split and merged must equal the histogram of the
+//! whole stream bucket for bucket, log-histogram quantile bounds must
+//! contain the exact nearest-rank quantile, saturating arithmetic must
+//! never wrap, and shape mismatches must surface as errors naming the
+//! offending metric.
 
 use cil_obs::{LogHistogram, MetricsSnapshot, Registry, SpanStat, SpanTree};
 use proptest::prelude::*;
@@ -130,6 +132,32 @@ proptest! {
             "exact {} outside [{}, {})", exact, b.lo, b.hi);
         prop_assert!(b.mid().abs_diff(exact) <= b.err(),
             "mid {} ± {} misses exact {}", b.mid(), b.err(), exact);
+    }
+
+    /// One stream split across up to four histograms (as serve shards
+    /// split their instances) and merged in any order is, bucket for bucket
+    /// and in its saturating sum, the histogram of the whole stream.
+    #[test]
+    fn split_histograms_merge_to_the_whole_stream(
+        draws in proptest::collection::vec((any::<u64>(), 0u32..64, 0usize..4), 0..200),
+        parts in 1usize..=4,
+        order_keys in proptest::collection::vec(any::<u64>(), 4..5),
+    ) {
+        let whole = LogHistogram::new(5);
+        let split: Vec<LogHistogram> = (0..parts).map(|_| LogHistogram::new(5)).collect();
+        for &(raw, shift, part) in &draws {
+            // Log-uniform magnitudes: small values, and sums that saturate.
+            let v = raw >> shift;
+            whole.observe(v);
+            split[part % parts].observe(v);
+        }
+        let mut order: Vec<usize> = (0..parts).collect();
+        order.sort_by_key(|&i| order_keys[i]);
+        let mut merged = LogHistogram::new(5).snapshot();
+        for i in order {
+            merged.merge(&split[i].snapshot()).unwrap();
+        }
+        prop_assert_eq!(merged, whole.snapshot());
     }
 }
 
