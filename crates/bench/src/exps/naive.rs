@@ -18,15 +18,14 @@ pub struct FreezeTwoShape;
 
 impl<P: cil_sim::Protocol> Adversary<P> for FreezeTwoShape {
     fn pick(&mut self, view: &View<'_, P>) -> usize {
-        let e = view.eligible();
-        if view.steps[0] < 1 && e.contains(&0) {
+        if view.steps[0] < 1 && view.is_eligible(0) {
             0
-        } else if view.steps[1] < 1 && e.contains(&1) {
+        } else if view.steps[1] < 1 && view.is_eligible(1) {
             1
-        } else if e.contains(&2) {
+        } else if view.is_eligible(2) {
             2
         } else {
-            e[0]
+            view.eligible().next().expect("no eligible processor")
         }
     }
     fn name(&self) -> String {

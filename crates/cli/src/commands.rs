@@ -179,7 +179,14 @@ EXIT CODES: 0 = success; 1 = verification failed (`cil audit` found model
     .to_string()
 }
 
-fn make_adversary<P: Protocol + 'static>(spec: &str, seed: u64) -> Result<BoxedAdversary<P>, String>
+/// Builds the `--adversary` scheduler for a protocol of `processes`
+/// processors. A schedule that names a processor the protocol does not
+/// have, and a lookahead horizon of 0, are usage errors.
+fn make_adversary<P: Protocol + 'static>(
+    spec: &str,
+    seed: u64,
+    processes: usize,
+) -> Result<BoxedAdversary<P>, String>
 where
     P::State: 'static,
     P::Reg: 'static,
@@ -195,11 +202,22 @@ where
             let h: u32 = s["lookahead:".len()..]
                 .parse()
                 .map_err(|_| format!("bad lookahead horizon in adversary '{s}'"))?;
+            if h == 0 {
+                return Err(format!(
+                    "--adversary {s}: the lookahead horizon must be at least 1"
+                ));
+            }
             Box::new(LookaheadAdversary::new(h))
         }
         s if s.starts_with('(') || s.chars().next().is_some_and(|c| c.is_ascii_digit()) => {
             let sched =
                 parse_schedule(s, true).map_err(|e| format!("bad adversary schedule: {e}"))?;
+            if let Some(pid) = sched.iter().find(|&&pid| pid >= processes) {
+                return Err(format!(
+                    "--adversary schedule names processor {} but the protocol has {processes}",
+                    pid + 1
+                ));
+            }
             Box::new(FixedSchedule::new(sched))
         }
         other => return Err(format!("unknown adversary '{other}' (see cil help)")),
@@ -306,7 +324,7 @@ fn run_one<P: Protocol + 'static, C>(
     let inputs = inputs_for(protocol, args)?;
     let seed = args.get_u64("seed", 0)?;
     let spec = args.get_or("adversary", "random");
-    let adversary = make_adversary::<P>(spec, seed)?;
+    let adversary = make_adversary::<P>(spec, seed, protocol.processes())?;
     let adv_name = adversary.name();
     let max_steps = args.get_u64("max-steps", 1_000_000)?;
     let runner = Runner::new(protocol, &inputs, adversary)
@@ -381,7 +399,11 @@ fn capture_events_one<P: Protocol + 'static, C>(
 ) -> Result<String, String> {
     let inputs = inputs_for(protocol, args)?;
     let seed = args.get_u64("seed", 0)?;
-    let adversary = make_adversary::<P>(args.get_or("adversary", "round-robin"), seed)?;
+    let adversary = make_adversary::<P>(
+        args.get_or("adversary", "round-robin"),
+        seed,
+        protocol.processes(),
+    )?;
     let max_steps = args.get_u64("max-steps", 1_000_000)?;
     let mut sink = JsonlSink::new(Vec::new());
     Runner::new(protocol, &inputs, adversary)
@@ -489,7 +511,9 @@ pub fn replay(args: &Args) -> Result<String, CliFailure> {
         }
     }
 
-    let regenerated = with_spec!(spec, capture_events_one(&inner))?;
+    // The schedule and inputs come from the capture, so errors name it.
+    let regenerated = with_spec!(spec, capture_events_one(&inner))
+        .map_err(|e| format!("cannot replay '{path}': {e}"))?;
     let regen: Vec<&str> = regenerated.lines().collect();
     for (i, (a, b)) in captured.iter().zip(&regen).enumerate() {
         if a != b {
@@ -791,7 +815,7 @@ fn sweep_one<P: Protocol + Sync + 'static, C>(
     let spec = args.get_or("adversary", "random");
     // Validate the adversary spec once, up front, so a typo fails fast
     // instead of panicking inside a worker.
-    make_adversary::<P>(spec, 0)?;
+    make_adversary::<P>(spec, 0, protocol.processes())?;
     let sweep = TrialSweep::new(trials).root_seed(root_seed).jobs(jobs);
     let effective = sweep.effective_jobs();
     let metrics_out = args.get("metrics-out");
@@ -809,8 +833,8 @@ fn sweep_one<P: Protocol + Sync + 'static, C>(
     });
     let sweep_started = timings.then(std::time::Instant::now);
     let stats = sweep.run_observed(observer.as_ref(), |trial| {
-        let adversary =
-            make_adversary::<P>(spec, trial.seed).expect("adversary spec validated above");
+        let adversary = make_adversary::<P>(spec, trial.seed, protocol.processes())
+            .expect("adversary spec validated above");
         let out = Runner::new(protocol, &inputs, adversary)
             .seed(trial.seed)
             .max_steps(max_steps)

@@ -179,7 +179,6 @@ impl NaiveKiller {
 
 impl Adversary<Naive> for NaiveKiller {
     fn pick(&mut self, view: &View<'_, Naive>) -> usize {
-        let eligible = view.eligible();
         let want = if view.regs[0] != Some(Val::A) {
             0
         } else if view.regs[1] != Some(Val::B) {
@@ -187,12 +186,12 @@ impl Adversary<Naive> for NaiveKiller {
         } else {
             2
         };
-        if eligible.contains(&want) {
+        if view.is_eligible(want) {
             want
         } else {
             // Should not happen (the victims never decide under this
             // strategy), but stay a legal adversary.
-            eligible[0]
+            view.eligible().next().expect("no eligible processor")
         }
     }
 
@@ -277,17 +276,16 @@ mod tests {
         struct Shape;
         impl Adversary<NUnbounded> for Shape {
             fn pick(&mut self, view: &View<'_, NUnbounded>) -> usize {
-                let e = view.eligible();
                 // Mimic the killer: give P0 and P1 one step each (their
                 // initial writes), then P2 forever.
-                if view.steps[0] < 1 && e.contains(&0) {
+                if view.steps[0] < 1 && view.is_eligible(0) {
                     0
-                } else if view.steps[1] < 1 && e.contains(&1) {
+                } else if view.steps[1] < 1 && view.is_eligible(1) {
                     1
-                } else if e.contains(&2) {
+                } else if view.is_eligible(2) {
                     2
                 } else {
-                    e[0]
+                    view.eligible().next().expect("no eligible processor")
                 }
             }
         }

@@ -918,11 +918,11 @@ impl<P: Symmetric> Adversary<P> for CompactPolicyAdversary<'_, P> {
             active: 0, // full builds do not key on activation
         };
         if let Some(pid) = self.mdp.decide_config(self.protocol, &cfg, &self.policy) {
-            if !view.crashed[pid] && view.protocol.decision(&view.states[pid]).is_none() {
+            if view.is_eligible(pid) {
                 return pid;
             }
         }
-        view.eligible()[0]
+        view.eligible().next().expect("no eligible processor")
     }
 
     fn name(&self) -> String {

@@ -74,13 +74,9 @@ impl<P: Protocol> Adversary<P> for LookaheadAdversary<P> {
             regs: view.regs.to_vec(),
             active: 0, // irrelevant for dynamics
         };
-        let eligible = view.eligible();
-        let mut best_pid = eligible[0];
+        let mut best_pid = view.eligible().next().expect("no eligible processor");
         let mut best = f64::INFINITY;
-        for &pid in &eligible {
-            if view.crashed[pid] {
-                continue;
-            }
+        for pid in view.eligible() {
             let mut p_decide = 0.0;
             for (p, succ) in successors(view.protocol, &cfg, pid) {
                 p_decide += p * self.decide_prob(view.protocol, &succ, self.horizon - 1);

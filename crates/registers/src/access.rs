@@ -11,7 +11,6 @@
 //! The worst-case choice of *which* serialization occurs is not made here —
 //! it is exactly the adversary scheduler's job, implemented in `cil-sim`.
 
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -244,16 +243,14 @@ impl<V: Clone> SharedMemory<V> {
     /// Returns [`AccessError::BadSpec`] if ids are duplicated or do not match
     /// their index.
     pub fn new(specs: Vec<RegisterSpec<V>>) -> Result<Self, AccessError> {
-        let mut seen = HashSet::new();
+        // An id that equals its index is unique, so this check also
+        // rejects duplicated ids.
         for (i, s) in specs.iter().enumerate() {
             if s.id.0 != i {
                 return Err(AccessError::BadSpec(format!(
                     "register '{}' has id {} but index {i}",
                     s.name, s.id
                 )));
-            }
-            if !seen.insert(s.id) {
-                return Err(AccessError::BadSpec(format!("duplicate id {}", s.id)));
             }
             if s.width_bits == 0 || s.width_bits > 64 {
                 return Err(AccessError::BadSpec(format!(
@@ -445,6 +442,15 @@ mod tests {
         )];
         assert!(matches!(
             SharedMemory::new(specs),
+            Err(AccessError::BadSpec(_))
+        ));
+    }
+
+    #[test]
+    fn duplicated_ids_are_rejected() {
+        let spec = |name| RegisterSpec::new(RegId(0), name, Pid(0), ReaderSet::All, 0u8);
+        assert!(matches!(
+            SharedMemory::new(vec![spec("first"), spec("second")]),
             Err(AccessError::BadSpec(_))
         ));
     }

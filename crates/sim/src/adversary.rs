@@ -36,11 +36,17 @@ pub struct View<'a, P: Protocol> {
 }
 
 impl<'a, P: Protocol> View<'a, P> {
-    /// Processors that may be scheduled: not crashed and not yet decided.
-    pub fn eligible(&self) -> Vec<usize> {
-        (0..self.states.len())
-            .filter(|&i| !self.crashed[i] && self.protocol.decision(&self.states[i]).is_none())
-            .collect()
+    /// Whether processor `pid` may be scheduled: it has not crashed and its
+    /// state is not a decision state.
+    pub fn is_eligible(&self, pid: usize) -> bool {
+        !self.crashed[pid] && self.protocol.decision(&self.states[pid]).is_none()
+    }
+
+    /// The processors that may be scheduled ([`View::is_eligible`]), in
+    /// ascending pid order. It is an iterator, so a pick that walks it
+    /// allocates nothing; collect it to keep the list.
+    pub fn eligible(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.states.len()).filter(move |&pid| self.is_eligible(pid))
     }
 
     /// Current preference of each processor (where the protocol exposes one).
@@ -90,12 +96,12 @@ impl<P: Protocol> Adversary<P> for RoundRobin {
         for _ in 0..n {
             let pid = self.next % n;
             self.next = (self.next + 1) % n;
-            if !view.crashed[pid] && view.protocol.decision(&view.states[pid]).is_none() {
+            if view.is_eligible(pid) {
                 return pid;
             }
         }
         // No eligible processor; executor should not have asked.
-        view.eligible().first().copied().unwrap_or(0)
+        view.eligible().next().unwrap_or(0)
     }
 
     fn name(&self) -> String {
@@ -129,7 +135,7 @@ impl<P: Protocol> Adversary<P> for FixedSchedule {
         while self.pos < self.schedule.len() {
             let pid = self.schedule[self.pos];
             self.pos += 1;
-            if !view.crashed[pid] && view.protocol.decision(&view.states[pid]).is_none() {
+            if view.is_eligible(pid) {
                 return pid;
             }
         }
@@ -158,9 +164,13 @@ impl RandomScheduler {
 }
 
 impl<P: Protocol> Adversary<P> for RandomScheduler {
+    /// Draws `k` below the number of eligible processors and returns the
+    /// `k`-th of them in pid order, without building the list.
     fn pick(&mut self, view: &View<'_, P>) -> usize {
-        let e = view.eligible();
-        e[self.rng.below(e.len() as u64) as usize]
+        let k = self.rng.below(view.eligible().count() as u64) as usize;
+        view.eligible()
+            .nth(k)
+            .expect("k is below the eligible count")
     }
 
     fn name(&self) -> String {
@@ -189,7 +199,7 @@ impl Solo {
 impl<P: Protocol> Adversary<P> for Solo {
     fn pick(&mut self, view: &View<'_, P>) -> usize {
         let t = self.target;
-        if !view.crashed[t] && view.protocol.decision(&view.states[t]).is_none() {
+        if view.is_eligible(t) {
             t
         } else {
             self.fallback.pick(view)
@@ -220,15 +230,12 @@ impl SplitKeeper {
 
 impl<P: Protocol> Adversary<P> for SplitKeeper {
     fn pick(&mut self, view: &View<'_, P>) -> usize {
-        let eligible = view.eligible();
         let prefs = view.preferences();
         let mut class_size: HashMap<Option<Val>, usize> = HashMap::new();
         for p in &prefs {
             *class_size.entry(*p).or_insert(0) += 1;
         }
-        eligible
-            .iter()
-            .copied()
+        view.eligible()
             .max_by_key(|&pid| (class_size[&prefs[pid]], std::cmp::Reverse(view.steps[pid])))
             .expect("no eligible processor")
     }
@@ -255,7 +262,6 @@ impl LaggardFirst {
 impl<P: Protocol> Adversary<P> for LaggardFirst {
     fn pick(&mut self, view: &View<'_, P>) -> usize {
         view.eligible()
-            .into_iter()
             .min_by_key(|&pid| view.steps[pid])
             .expect("no eligible processor")
     }
@@ -282,7 +288,6 @@ impl LeaderFirst {
 impl<P: Protocol> Adversary<P> for LeaderFirst {
     fn pick(&mut self, view: &View<'_, P>) -> usize {
         view.eligible()
-            .into_iter()
             .max_by_key(|&pid| view.steps[pid])
             .expect("no eligible processor")
     }

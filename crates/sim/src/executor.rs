@@ -195,6 +195,13 @@ impl<'p, P: Protocol, A: Adversary<P>> Runner<'p, P, A> {
 
     /// Executes the run.
     ///
+    /// The stop checks read a live counter instead of the processors'
+    /// states: the number of processors that are neither crashed nor
+    /// decided, which a step landing in a decision state or a crash of a
+    /// live processor lowers by one, next to a count of decided
+    /// processors for [`StopWhen::FirstDecision`]. No check scans all n
+    /// states per step.
+    ///
     /// # Panics
     ///
     /// Panics if the protocol violates its declared access structure (a
@@ -211,6 +218,12 @@ impl<'p, P: Protocol, A: Adversary<P>> Runner<'p, P, A> {
             .collect();
         let mut steps = vec![0u64; n];
         let mut crashed = vec![false; n];
+        // `live`: neither crashed nor decided; `decided`: crashed or not.
+        let mut decided = states
+            .iter()
+            .filter(|s| protocol.decision(s).is_some())
+            .count();
+        let mut live = n - decided;
         let mut total: u64 = 0;
         let mut trace = self.record_trace.then(Trace::new);
         let mut sink = self.sink.take();
@@ -225,14 +238,16 @@ impl<'p, P: Protocol, A: Adversary<P>> Runner<'p, P, A> {
         loop {
             // Fault injection due at this time.
             for pid in self.crash_plan.due(total) {
+                if !crashed[pid] && protocol.decision(&states[pid]).is_none() {
+                    live -= 1;
+                }
                 crashed[pid] = true;
             }
             // Stop conditions.
-            let decided = |states: &[P::State], i: usize| protocol.decision(&states[i]).is_some();
             let stop_met = match self.stop {
-                StopWhen::AllDecided => (0..n).all(|i| crashed[i] || decided(&states, i)),
-                StopWhen::PidDecided(t) => decided(&states, t) || crashed[t],
-                StopWhen::FirstDecision => (0..n).any(|i| decided(&states, i)),
+                StopWhen::AllDecided => live == 0,
+                StopWhen::PidDecided(t) => protocol.decision(&states[t]).is_some() || crashed[t],
+                StopWhen::FirstDecision => decided > 0,
             };
             if stop_met {
                 halt = Halt::Done;
@@ -243,10 +258,9 @@ impl<'p, P: Protocol, A: Adversary<P>> Runner<'p, P, A> {
                 break;
             }
             // If nobody is eligible but the stop condition is unmet (e.g.
-            // waiting on a crashed pid), the run cannot proceed.
-            let any_eligible =
-                (0..n).any(|i| !crashed[i] && protocol.decision(&states[i]).is_none());
-            if !any_eligible {
+            // every processor crashed before any decided), the run cannot
+            // proceed.
+            if live == 0 {
                 halt = Halt::Done;
                 break;
             }
@@ -292,9 +306,14 @@ impl<'p, P: Protocol, A: Adversary<P>> Runner<'p, P, A> {
             states[pid] = next;
             steps[pid] += 1;
             total += 1;
+            let decision = protocol.decision(&states[pid]);
+            if decision.is_some() {
+                live -= 1;
+                decided += 1;
+            }
             if let Some(s) = sink.as_deref_mut() {
                 s.emit(&step_event(total - 1, pid, &op, read_value.as_ref()));
-                if let Some(v) = protocol.decision(&states[pid]) {
+                if let Some(v) = decision {
                     s.emit(&RunEvent::Decision {
                         index: total - 1,
                         pid,

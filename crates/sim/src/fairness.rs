@@ -67,10 +67,10 @@ impl<P: Protocol> Adversary<P> for Alternator {
         let n = view.states.len();
         let due = self.tick % n;
         self.tick += 1;
-        if !view.crashed[due] && view.protocol.decision(&view.states[due]).is_none() {
+        if view.is_eligible(due) {
             due
         } else {
-            view.eligible()[0]
+            view.eligible().next().expect("no eligible processor")
         }
     }
 
@@ -103,7 +103,7 @@ impl<P: Protocol, A: Adversary<P>> Adversary<P> for PrefixThen<A> {
         while self.pos < self.prefix.len() {
             let pid = self.prefix[self.pos];
             self.pos += 1;
-            if !view.crashed[pid] && view.protocol.decision(&view.states[pid]).is_none() {
+            if view.is_eligible(pid) {
                 return pid;
             }
         }

@@ -65,13 +65,16 @@ impl CrashPlan {
 
     /// Processors that crash at or before `step` and have not been reported
     /// by an earlier call (the executor calls this with increasing `step`).
+    ///
+    /// Reported entries leave the plan, so when nothing is due this reads
+    /// only the earliest remaining step and allocates nothing.
     pub fn due(&mut self, step: u64) -> Vec<usize> {
         let mut due = Vec::new();
-        let keys: Vec<u64> = self.by_step.range(..=step).map(|(&k, _)| k).collect();
-        for k in keys {
-            if let Some(pids) = self.by_step.remove(&k) {
-                due.extend(pids);
+        while let Some(entry) = self.by_step.first_entry() {
+            if *entry.key() > step {
+                break;
             }
+            due.extend(entry.remove());
         }
         due
     }

@@ -22,7 +22,7 @@ impl<P: Protocol, A: Adversary<P>> Adversary<P> for ContractChecked<A> {
     fn pick(&mut self, view: &View<'_, P>) -> usize {
         let pid = self.0.pick(view);
         assert!(
-            view.eligible().contains(&pid),
+            view.is_eligible(pid),
             "{} picked ineligible P{pid}",
             self.0.name()
         );

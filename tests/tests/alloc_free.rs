@@ -1,12 +1,14 @@
 //! Allocation regression tests for the serve hot path.
 //!
-//! Three allocation bugs are fixed: `Choice::sample` collected the branch
+//! Four allocation bugs are fixed: `Choice::sample` collected the branch
 //! weights into a fresh `Vec` on every coin flip, `NUnbounded::transit`
 //! built three temporary `Vec`s (maxnum scan, leader collection, agreement
-//! check) on every read step, and `ThreeBounded`'s end-of-phase computation
-//! collected up to five small `Vec`s per phase. This binary pins the fixes —
-//! the serve-engine steady state, and `Runner::run` allocating per run, not
-//! per step — with a counting global allocator.
+//! check) on every read step, `ThreeBounded`'s end-of-phase computation
+//! collected up to five small `Vec`s per phase, and `RandomScheduler`
+//! collected the eligible processors into a `Vec` on every pick. This
+//! binary pins the fixes — the serve-engine steady state, and `Runner::run`
+//! under each sweep adversary allocating per run, not per step — with a
+//! counting global allocator.
 //!
 //! The counting allocator is the one place in the workspace that needs
 //! `unsafe` (the `GlobalAlloc` contract); it is confined to this test
@@ -25,7 +27,8 @@ use cil_core::two::TwoProcessor;
 use cil_serve::InstanceSlot;
 use cil_sim::sweep::Trial;
 use cil_sim::{
-    Choice, PackCodec, Protocol, Rng, RoundRobin, Runner, SplitMix64, Val, Xoshiro256StarStar,
+    Adversary, Alternator, BoxedAdversary, Choice, LaggardFirst, LeaderFirst, PackCodec, Protocol,
+    RandomScheduler, Rng, RoundRobin, Runner, SplitMix64, Val, Xoshiro256StarStar,
 };
 use std::collections::BTreeMap;
 
@@ -95,15 +98,21 @@ where
     }
 }
 
-/// Asserts that allocations per `Runner::run` under `RoundRobin` do not
-/// depend on the run's length: seeds giving runs of different lengths must
-/// all allocate the same (per-run buffers only) amount. Each count is the
-/// minimum over a few attempts, which filters the harness's own traffic.
-fn assert_run_allocations_constant<P: Protocol>(what: &str, protocol: &P, inputs: &[Val]) {
+/// Asserts that allocations per `Runner::run` under the adversary that
+/// `adversary` builds from a run's seed do not depend on the run's length:
+/// seeds giving runs of different lengths must all allocate the same
+/// (per-run buffers only) amount. Each count is the minimum over a few
+/// attempts, which filters the harness's own traffic.
+fn assert_run_allocations_constant<P: Protocol, A: Adversary<P>>(
+    what: &str,
+    protocol: &P,
+    inputs: &[Val],
+    adversary: impl Fn(u64) -> A,
+) {
     let mut by_length = BTreeMap::new();
     for seed in 0..40 {
         let mut run = || {
-            Runner::new(protocol, inputs, RoundRobin::new())
+            Runner::new(protocol, inputs, adversary(seed))
                 .seed(seed)
                 .run()
                 .total_steps
@@ -123,6 +132,31 @@ fn assert_run_allocations_constant<P: Protocol>(what: &str, protocol: &P, inputs
         by_length.values().all(|a| Some(*a) == first),
         "{what}: allocations per run grow with its length (steps -> allocations): {by_length:?}"
     );
+}
+
+/// [`assert_run_allocations_constant`] under each adversary `cil sweep`
+/// offers that keeps no per-pick tables: the random scheduler boxed as
+/// `cil sweep` and the benchmark build it, and the laggard, leader,
+/// alternator and round-robin schedulers.
+fn assert_sweep_runs_allocation_constant<P>(what: &str, protocol: &P, inputs: &[Val])
+where
+    P: Protocol + 'static,
+{
+    assert_run_allocations_constant(&format!("{what}, random"), protocol, inputs, |seed| {
+        Box::new(RandomScheduler::new(seed)) as BoxedAdversary<P>
+    });
+    assert_run_allocations_constant(&format!("{what}, laggard"), protocol, inputs, |_| {
+        LaggardFirst::new()
+    });
+    assert_run_allocations_constant(&format!("{what}, leader"), protocol, inputs, |_| {
+        LeaderFirst::new()
+    });
+    assert_run_allocations_constant(&format!("{what}, alternator"), protocol, inputs, |_| {
+        Alternator::new()
+    });
+    assert_run_allocations_constant(&format!("{what}, round-robin"), protocol, inputs, |_| {
+        RoundRobin::new()
+    });
 }
 
 fn trial(root_seed: u64, index: u64) -> Trial {
@@ -196,9 +230,9 @@ fn hot_paths_do_not_allocate() {
         }
     });
 
-    // 5. The simulator: `Runner::run` with `RoundRobin` allocates its
-    //    per-run buffers, and nothing per step.
-    assert_run_allocations_constant("two", &two, &inputs);
-    assert_run_allocations_constant("fig2", &fig2, &inputs3);
-    assert_run_allocations_constant("fig3", &fig3, &inputs3);
+    // 5. The simulator: `Runner::run` allocates its per-run buffers, and
+    //    nothing per step, under every adversary of the sweep path.
+    assert_sweep_runs_allocation_constant("two", &two, &inputs);
+    assert_sweep_runs_allocation_constant("fig2", &fig2, &inputs3);
+    assert_sweep_runs_allocation_constant("fig3", &fig3, &inputs3);
 }

@@ -162,7 +162,7 @@ fn inputs_the_engines_cannot_hold_exit_2() {
     ]);
     // Every worker is an OS thread and every arena slot a resident frame,
     // so the counts are capped before anything is spawned or allocated.
-    // Each line ends with the capped option, which the message must name.
+    // Each line ends with the rejected option, which the message must name.
     for line in [
         "sweep --protocol two --inputs a,b --trials 3 --jobs 1025",
         "mdp --inputs a,b --kmax 2 --jobs 1025",
@@ -172,6 +172,12 @@ fn inputs_the_engines_cannot_hold_exit_2() {
         "conc explore two --inputs a,b --depth-bound 3 --jobs 1025",
         "serve two --instances 3 --shards 1025",
         "serve two --instances 3 --slots 65537",
+        // A schedule names processors of the protocol, and a lookahead
+        // looks at least one step ahead.
+        "run --protocol two --inputs a,b --adversary (1,3)",
+        "sweep --protocol two --inputs a,b --trials 3 --jobs 1 --adversary (1,3)",
+        "run --protocol two --inputs a,b --adversary lookahead:0",
+        "sweep --protocol two --inputs a,b --trials 3 --jobs 1 --adversary lookahead:0",
     ] {
         let option = line.split_whitespace().rev().nth(1).expect("an option");
         match dispatch_full(line.split_whitespace().map(String::from)) {

@@ -121,6 +121,32 @@ fn cli_replay_detects_a_tampered_capture() {
     std::fs::remove_file(&path).unwrap();
 }
 
+#[test]
+fn cli_replay_rejects_a_capture_naming_a_missing_processor() {
+    let path = tmp("tampered_pid.jsonl");
+    dispatch(&format!(
+        "run --protocol two --inputs a,b --seed 7 --trace-json {}",
+        path.display()
+    ))
+    .unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    // Make the first step event name pid 7, which the one-based schedule
+    // notation calls processor 8, of a two-processor protocol.
+    let first_step = "\"type\":\"step\",\"index\":0,\"pid\":";
+    let tampered = text.replacen(&format!("{first_step}0"), &format!("{first_step}7"), 1);
+    assert_ne!(text, tampered, "capture should start with a step of P0");
+    std::fs::write(&path, tampered).unwrap();
+    let line = format!("replay {}", path.display());
+    let failure = cil_cli::dispatch_full(line.split_whitespace().map(String::from)).unwrap_err();
+    assert_eq!(failure.exit_code(), 2, "{}", failure.message());
+    assert!(
+        failure.message().contains("processor 8"),
+        "{}",
+        failure.message()
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// Library-level round trip: every captured event survives JSONL
 /// serialization, and re-executing the captured schedule (same coin seed)
 /// regenerates the identical `Trace` and event stream — including for a
