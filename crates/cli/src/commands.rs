@@ -126,12 +126,16 @@ USAGE:
                 decision over the hardware atomic-register backend on J
                 sharded arenas (allocation-free steady state), then report
                 decisions/sec and service-latency percentiles; --out writes
-                them to <file> in the BENCH_serve.json schema. --inputs
-                defaults to alternating a,b. With --instances, stats and
-                serve.* metric exports are a pure function of
-                (--seed, --instances) — byte-identical at any --shards;
-                --duration / --target-decisions are load-generator modes;
-                --slots takes at most 65536
+                them to <file> in the BENCH_serve.json schema. Latency is
+                sampled: instance i is timed iff i % 8 == 0 (so are the
+                --timings serve.trial_ns and its span); every count covers
+                every instance. --inputs defaults to alternating a,b. With
+                --instances, stats and serve.* metric exports are a pure
+                function of (--seed, --instances) — byte-identical at any
+                --shards; --duration / --target-decisions are load-generator
+                modes; --target-decisions N stops admitting once N instances
+                decided or N ended undecided (the report then says the
+                target was not reached); --slots takes at most 65536
   cil help
 
 PROTOCOLS <P>: one grammar for every subcommand that takes <P>:
@@ -1398,11 +1402,13 @@ where
     let report = engine.run_observed(observer.as_ref());
     report.export_decided_values(&registry);
     if timings {
+        // `serve.trial_ns` holds the timed sample only, so the trial span
+        // counts the timed instances its total covers.
         merge_sweep_spans(
             &registry,
             "serve",
             "serve.trial_ns",
-            report.instances,
+            report.latency.count(),
             report.elapsed_ns,
         );
     }
@@ -1428,6 +1434,16 @@ where
         report.stats.undecided,
         report.stats.violations()
     );
+    if let ServeLimit::Decisions(target) = limit {
+        if report.stats.decided < target {
+            let _ = writeln!(
+                s,
+                "target   : {target} decisions not reached — admission closed once \
+                 {target} instances ended without a decision ({} in all)",
+                report.instances - report.stats.decided
+            );
+        }
+    }
     let _ = writeln!(
         s,
         "throughput: {} decisions/sec over {} ms",
@@ -1436,10 +1452,13 @@ where
     );
     let _ = writeln!(
         s,
-        "latency  : p50 {} ns   p90 {} ns   p99 {} ns   (service: admission to decision)",
+        "latency  : p50 {} ns   p90 {} ns   p99 {} ns   (service: admission to decision; \
+         1 in {} instances timed, n = {})",
         q(0.5),
         q(0.9),
-        q(0.99)
+        q(0.99),
+        cil_serve::LATENCY_SAMPLE_EVERY,
+        report.latency.count()
     );
     if !report.decided_values.is_empty() {
         let _ = write!(s, "decided  :");

@@ -142,12 +142,19 @@ impl Histogram {
 
     /// Records one observation. The running sum saturates at `u64::MAX`.
     pub fn observe(&self, v: u64) {
+        self.observe_n(v, 1);
+    }
+
+    /// Records `n` observations of `v` at once: the buckets and the
+    /// saturating sum end exactly as after `n` calls of
+    /// [`observe`](Histogram::observe).
+    pub fn observe_n(&self, v: u64, n: u64) {
         let idx = (v / self.width) as usize;
         match self.counts.get(idx) {
-            Some(bucket) => bucket.fetch_add(1, Ordering::Relaxed),
-            None => self.overflow.fetch_add(1, Ordering::Relaxed),
+            Some(bucket) => bucket.fetch_add(n, Ordering::Relaxed),
+            None => self.overflow.fetch_add(n, Ordering::Relaxed),
         };
-        saturating_fetch_add(&self.sum, v);
+        saturating_fetch_add(&self.sum, v.saturating_mul(n));
     }
 
     /// A point-in-time copy of the bucket counts.
@@ -287,6 +294,36 @@ impl LogHistogram {
         let idx = log_bucket_index(self.sub_bits, v);
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
         saturating_fetch_add(&self.sum, v);
+    }
+
+    /// Adds a snapshot's buckets and sum in: the histogram ends exactly as
+    /// if the snapshot's values had been observed here one at a time.
+    ///
+    /// # Errors
+    ///
+    /// Returns the difference, and adds nothing, if the snapshot has
+    /// another sub-bucket resolution or a bucket index past this
+    /// histogram's range.
+    pub fn merge_snapshot(&self, snap: &LogHistogramSnapshot) -> Result<(), String> {
+        if snap.sub_bits != self.sub_bits {
+            return Err(format!(
+                "log-histogram sub_bits differ ({} vs {})",
+                self.sub_bits, snap.sub_bits
+            ));
+        }
+        if let Some(&top) = snap.buckets.keys().next_back() {
+            if top as usize >= self.counts.len() {
+                return Err(format!(
+                    "log-histogram bucket {top} is past the last bucket {}",
+                    self.counts.len() - 1
+                ));
+            }
+        }
+        for (&idx, &c) in &snap.buckets {
+            self.counts[idx as usize].fetch_add(c, Ordering::Relaxed);
+        }
+        saturating_fetch_add(&self.sum, snap.sum);
+        Ok(())
     }
 
     /// A point-in-time sparse copy of the nonzero buckets.
@@ -891,6 +928,59 @@ mod tests {
         c.add(u64::MAX);
         c.add(u64::MAX);
         assert_eq!(c.get(), u64::MAX);
+    }
+
+    #[test]
+    fn observe_n_matches_observing_one_at_a_time() {
+        let bulk = Histogram::linear(2, 3);
+        let single = Histogram::linear(2, 3);
+        // In range, the last bucket, the overflow bucket, n = 0, and a
+        // product past u64::MAX, which pins the sum.
+        for (v, n) in [(0, 3), (5, 2), (6, 4), (99, 1), (3, 0), (u64::MAX / 3, 5)] {
+            bulk.observe_n(v, n);
+            for _ in 0..n {
+                single.observe(v);
+            }
+        }
+        assert_eq!(bulk.snapshot(), single.snapshot());
+        assert_eq!(bulk.snapshot().sum, u64::MAX);
+
+        let small = Histogram::linear(1, 8);
+        small.observe_n(3, 4);
+        assert_eq!(small.snapshot().sum, 12);
+        assert_eq!(small.snapshot().counts[3], 4);
+    }
+
+    #[test]
+    fn merge_snapshot_matches_observing_one_at_a_time() {
+        let parts = [LogHistogram::new(5), LogHistogram::new(5)];
+        let single = LogHistogram::new(5);
+        let values = [0u64, 1, 17, 40_000, 1_000_000_000, 3, 17, 999, u64::MAX];
+        for (i, &v) in values.iter().enumerate() {
+            parts[i % 2].observe(v);
+            single.observe(v);
+        }
+        let merged = LogHistogram::new(5);
+        for part in &parts {
+            merged.merge_snapshot(&part.snapshot()).unwrap();
+        }
+        assert_eq!(merged.snapshot(), single.snapshot());
+        assert_eq!(merged.snapshot().sum, u64::MAX);
+
+        let before = merged.snapshot();
+        let coarser = LogHistogram::new(4);
+        coarser.observe(7);
+        assert!(merged
+            .merge_snapshot(&coarser.snapshot())
+            .unwrap_err()
+            .contains("sub_bits"));
+        let mut past_the_end = LogHistogram::new(5).snapshot();
+        past_the_end.buckets.insert(u32::MAX, 1);
+        assert!(merged
+            .merge_snapshot(&past_the_end)
+            .unwrap_err()
+            .contains("past the last bucket"));
+        assert_eq!(merged.snapshot(), before, "a refused merge adds nothing");
     }
 
     #[test]

@@ -27,12 +27,28 @@
 //! # Shard-local bookkeeping
 //!
 //! Each shard keeps its stats, decided-value counts and latency histogram
-//! to itself and hands them back at join, where they are merged. The only
-//! per-instance write to memory shared between shards is the decided
-//! counter of [`ServeLimit::Decisions`] mode (`--target-decisions`), the one
-//! mode whose admission reads it; otherwise a shard touches shared memory
-//! once per claim of a chunk of instance indices. An attached
-//! [`SweepObserver`] records into its shared registry per instance.
+//! to itself and hands them back at join, where they are merged; an
+//! attached [`SweepObserver`] is published from the merged result then, and
+//! its progress meter ticks once per chunk of finished instances. The only
+//! per-instance writes to memory shared between shards are the two finish
+//! counters of [`ServeLimit::Decisions`] mode (`--target-decisions`), the
+//! one mode whose admission reads them; otherwise a shard touches shared
+//! memory once per claim of a chunk of instance indices.
+//!
+//! # Latency sample
+//!
+//! Reading the clock at admission and again at decision costs about a
+//! quarter of a Fig. 1 instance's time, so the engine times a fixed,
+//! deterministic sample: instance `i` is timed iff
+//! `i % `[`LATENCY_SAMPLE_EVERY`]` == 0`. An instance's index is
+//! independent of its seed and of the shard and slot that run it, and a
+//! timed instance is timed over the whole window from
+//! [`InstanceSlot::begin`] to its decision. Admitted indices are always
+//! `0..instances` (whole claimed chunks, the last one cut short in
+//! `Instances` mode), so the latency histogram holds
+//! `instances.div_ceil(LATENCY_SAMPLE_EVERY)` latencies in every limit
+//! mode. Every count — the stats, the decided values, the `serve.*`
+//! exports — still covers every instance.
 //!
 //! # Determinism contract
 //!
@@ -70,6 +86,16 @@ pub const DEFAULT_BATCH: u64 = 32;
 /// Instance indices a shard claims from the shared cursor per fetch.
 const CLAIM_CHUNK: u64 = 64;
 
+/// One instance in this many is timed: instance `i` carries a wall-clock
+/// latency iff `i % LATENCY_SAMPLE_EVERY == 0`, so index 0 always does. See
+/// the [module docs](self#latency-sample).
+pub const LATENCY_SAMPLE_EVERY: u64 = 8;
+
+/// Whether the engine times instance `index`.
+fn is_timed(index: u64) -> bool {
+    index.is_multiple_of(LATENCY_SAMPLE_EVERY)
+}
+
 /// Sub-bucket resolution of the latency log-histogram (matches the sweep
 /// timing histograms: ≤ 3.2% relative quantile error).
 const LATENCY_SUB_BITS: u32 = 5;
@@ -80,9 +106,11 @@ pub enum ServeLimit {
     /// Run exactly this many instances (indices `0..n`). The only mode with
     /// a shard-count-independent result set.
     Instances(u64),
-    /// Keep admitting instances until this many have *decided*; in-flight
-    /// instances are drained. Load-generator mode: the admitted index set
-    /// depends on wall-clock progress.
+    /// Keep admitting instances until this many have *decided*, or until
+    /// this many have ended without a decision (so a protocol that never
+    /// decides still stops); in-flight instances are drained.
+    /// Load-generator mode: the admitted index set depends on wall-clock
+    /// progress.
     Decisions(u64),
     /// Keep admitting instances until the deadline; in-flight instances are
     /// drained. Load-generator mode.
@@ -114,12 +142,13 @@ pub struct InstanceSlot<'a, P: Protocol, C: WordCodec<P::Reg>> {
     total: u64,
     undecided: usize,
     index: u64,
-    started: Instant,
+    started: Option<Instant>,
     busy: bool,
 }
 
 /// A finished instance: its sweep classification plus the agreed decision
-/// value (when it decided cleanly) and its wall-clock service latency.
+/// value (when it decided cleanly) and, when it was timed, its wall-clock
+/// service latency.
 #[derive(Debug, Clone)]
 pub struct InstanceOutcome {
     /// Instance index within the run (also its trial index).
@@ -131,7 +160,8 @@ pub struct InstanceOutcome {
     pub value: Option<Val>,
     /// Wall-clock nanoseconds from admission to completion (includes time
     /// the shard spent stepping other resident instances — service latency,
-    /// not pure compute).
+    /// not pure compute). 0 for an instance armed with
+    /// [`begin_untimed`](InstanceSlot::begin_untimed).
     pub latency_ns: u64,
 }
 
@@ -163,7 +193,7 @@ impl<'a, P: Protocol, C: WordCodec<P::Reg>> InstanceSlot<'a, P, C> {
             total: 0,
             undecided: 0,
             index: 0,
-            started: Instant::now(),
+            started: None,
             busy: false,
         }
     }
@@ -173,9 +203,17 @@ impl<'a, P: Protocol, C: WordCodec<P::Reg>> InstanceSlot<'a, P, C> {
         self.busy
     }
 
-    /// Arms the slot with instance `trial`. Allocation-free after the first
-    /// use: the frame is reset, the vectors are refilled in place.
+    /// Arms the slot with instance `trial` and starts its latency clock.
+    /// Allocation-free after the first use: the frame is reset, the vectors
+    /// are refilled in place.
     pub fn begin(&mut self, trial: Trial) {
+        self.begin_untimed(trial);
+        self.started = Some(Instant::now());
+    }
+
+    /// [`begin`](InstanceSlot::begin) without the clock read: the instance
+    /// finishes with a `latency_ns` of 0.
+    pub fn begin_untimed(&mut self, trial: Trial) {
         debug_assert!(!self.busy, "slot re-armed while busy");
         let n = self.protocol.processes();
         self.file.reset();
@@ -192,7 +230,7 @@ impl<'a, P: Protocol, C: WordCodec<P::Reg>> InstanceSlot<'a, P, C> {
             .filter(|s| self.protocol.decision(s).is_none())
             .count();
         self.index = trial.index;
-        self.started = Instant::now();
+        self.started = None;
         self.busy = true;
     }
 
@@ -273,7 +311,9 @@ impl<'a, P: Protocol, C: WordCodec<P::Reg>> InstanceSlot<'a, P, C> {
     /// classifies the equivalent `RunOutcome`.
     fn finish(&mut self, budget_expired: bool) -> InstanceOutcome {
         self.busy = false;
-        let latency_ns = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let latency_ns = self.started.map_or(0, |started| {
+            u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        });
 
         // agreement() / consistent(): fold over decided values.
         let mut agreed = None;
@@ -340,7 +380,10 @@ pub struct ServeReport {
     pub shards: usize,
     /// Wall-clock duration of the run.
     pub elapsed_ns: u64,
-    /// Service-latency histogram (admission to completion, wall clock).
+    /// Service-latency histogram (admission to completion, wall clock) of
+    /// the timed sample: the instances whose index is a multiple of
+    /// [`LATENCY_SAMPLE_EVERY`], `instances.div_ceil(LATENCY_SAMPLE_EVERY)`
+    /// of them.
     pub latency: LogHistogramSnapshot,
 }
 
@@ -355,7 +398,7 @@ impl ServeReport {
 
     /// Publishes the deterministic decided-value counts as `serve.decided.v*`
     /// counters (the per-outcome counters come from the [`SweepObserver`]
-    /// the engine records into).
+    /// the engine publishes into).
     pub fn export_decided_values(&self, registry: &Registry) {
         for (&value, &count) in &self.decided_values {
             registry
@@ -466,28 +509,29 @@ where
         self.run_observed(None)
     }
 
-    /// [`run`](ServeEngine::run) with an optional observer receiving every
-    /// instance result as it completes (commutative atomics only, so
-    /// observed metrics keep the determinism contract; attach timing to the
-    /// observer to also export wall-clock `serve.trial_ns`).
+    /// [`run`](ServeEngine::run) with an optional observer: its progress
+    /// meter ticks once per chunk of finished instances, and its metrics
+    /// are published from the merged stats at join, so observed metrics
+    /// keep the determinism contract. Attach timing to the observer to also
+    /// export the wall-clock latency sample as `serve.trial_ns`.
     pub fn run_observed(&self, observer: Option<&SweepObserver>) -> ServeReport {
         let shards = self.effective_shards();
         let started = Instant::now();
         let cursor = AtomicU64::new(0);
-        let decided_total = AtomicU64::new(0);
+        let finished = Finished::default();
         let deadline = match self.limit {
             ServeLimit::Duration(d) => Some(started + d),
             _ => None,
         };
 
         let shard_results: Vec<ShardResult> = if shards == 1 {
-            vec![self.shard_loop(&cursor, &decided_total, deadline, observer)]
+            vec![self.shard_loop(&cursor, &finished, deadline, observer)]
         } else {
             let mut parts = Vec::with_capacity(shards);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..shards)
                     .map(|_| {
-                        scope.spawn(|| self.shard_loop(&cursor, &decided_total, deadline, observer))
+                        scope.spawn(|| self.shard_loop(&cursor, &finished, deadline, observer))
                     })
                     .collect();
                 for handle in handles {
@@ -496,10 +540,6 @@ where
             });
             parts
         };
-
-        if let Some(o) = observer {
-            o.finish();
-        }
 
         let mut stats = SweepStats::new(8);
         let mut decided_values = BTreeMap::new();
@@ -517,6 +557,10 @@ where
                 .merge(&part_latency)
                 .expect("every shard histogram has the same resolution");
         }
+        if let Some(o) = observer {
+            o.publish(&stats, Some(&latency));
+            o.finish();
+        }
         let instances = stats.trials;
         ServeReport {
             stats,
@@ -530,12 +574,15 @@ where
 
     /// Whether a shard may still admit new instances, and under what index
     /// bound. `None` means "stop filling" (drain and exit).
-    fn admission_bound(&self, decided_total: &AtomicU64, deadline: Option<Instant>) -> Option<u64> {
+    fn admission_bound(&self, finished: &Finished, deadline: Option<Instant>) -> Option<u64> {
         match self.limit {
             ServeLimit::Instances(n) => Some(n),
-            ServeLimit::Decisions(target) => {
-                (decided_total.load(Ordering::Relaxed) < target).then_some(u64::MAX)
-            }
+            // Admission also closes once `target` instances ended without a
+            // decision, so the work stays within twice the target plus the
+            // instances in flight even when nothing decides.
+            ServeLimit::Decisions(target) => (finished.decided.load(Ordering::Relaxed) < target
+                && finished.undecided.load(Ordering::Relaxed) < target)
+                .then_some(u64::MAX),
             ServeLimit::Duration(_) => (Instant::now()
                 < deadline.expect("duration limit has a deadline"))
             .then_some(u64::MAX),
@@ -547,7 +594,7 @@ where
     fn shard_loop(
         &self,
         cursor: &AtomicU64,
-        decided_total: &AtomicU64,
+        finished: &Finished,
         deadline: Option<Instant>,
         observer: Option<&SweepObserver>,
     ) -> ShardResult {
@@ -555,9 +602,9 @@ where
             index,
             seed: SplitMix64::jump(self.root_seed, index).next_u64(),
         };
-        // Only `Decisions` admission reads the shared counter, so the other
-        // modes skip its per-instance write to a cache line all shards use.
-        let counts_decisions = matches!(self.limit, ServeLimit::Decisions(_));
+        // Only `Decisions` admission reads the shared counters, so the other
+        // modes skip their per-instance write to a cache line all shards use.
+        let counts_finishes = matches!(self.limit, ServeLimit::Decisions(_));
         let mut slots: Vec<InstanceSlot<'_, P, C>> = (0..self.slots)
             .map(|_| InstanceSlot::new(self.protocol, self.codec, &self.inputs, self.max_steps))
             .collect();
@@ -567,12 +614,14 @@ where
         // Locally claimed-but-unstarted index range.
         let mut pending = 0u64..0u64;
         let mut active = 0usize;
+        // Instances finished since the progress meter last ticked.
+        let mut unticked = 0u64;
 
         loop {
             for slot in &mut slots {
                 if !slot.busy() {
                     if pending.is_empty() {
-                        if let Some(bound) = self.admission_bound(decided_total, deadline) {
+                        if let Some(bound) = self.admission_bound(finished, deadline) {
                             let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
                             if start < bound {
                                 pending = start..(start.saturating_add(CLAIM_CHUNK)).min(bound);
@@ -580,7 +629,11 @@ where
                         }
                     }
                     if let Some(index) = pending.next() {
-                        slot.begin(trial_at(index));
+                        if is_timed(index) {
+                            slot.begin(trial_at(index));
+                        } else {
+                            slot.begin_untimed(trial_at(index));
+                        }
                         active += 1;
                     } else {
                         continue;
@@ -590,29 +643,50 @@ where
                     active -= 1;
                     if let Some(v) = done.value {
                         *values.entry(v.0).or_insert(0) += 1;
-                        if counts_decisions {
-                            decided_total.fetch_add(1, Ordering::Relaxed);
-                        }
                     }
-                    latency.observe(done.latency_ns);
-                    if let Some(o) = observer {
-                        o.record_timed(&done.result, Some(done.latency_ns));
+                    if counts_finishes {
+                        let count = match done.value {
+                            Some(_) => &finished.decided,
+                            None => &finished.undecided,
+                        };
+                        count.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if is_timed(done.index) {
+                        latency.observe(done.latency_ns);
                     }
                     stats.absorb(done.index, done.result);
+                    if let Some(o) = observer {
+                        unticked += 1;
+                        if unticked == CLAIM_CHUNK {
+                            o.tick(unticked);
+                            unticked = 0;
+                        }
+                    }
                 }
             }
             if active == 0 && pending.is_empty() {
                 // Nothing resident and the last admission attempt (made in
                 // the sweep above, for every idle slot) yielded no work.
-                match self.admission_bound(decided_total, deadline) {
+                match self.admission_bound(finished, deadline) {
                     None => break,
                     Some(bound) if cursor.load(Ordering::Relaxed) >= bound => break,
                     _ => {}
                 }
             }
         }
+        if let Some(o) = observer {
+            o.tick(unticked);
+        }
         (stats, values, latency.snapshot())
     }
+}
+
+/// The counters `Decisions` admission reads, shared by every shard:
+/// instances that decided and instances that ended without a decision.
+#[derive(Default)]
+struct Finished {
+    decided: AtomicU64,
+    undecided: AtomicU64,
 }
 
 /// What one shard hands back at join: its sweep statistics, decided-value
@@ -622,6 +696,7 @@ type ShardResult = (SweepStats, BTreeMap<u64, u64>, LogHistogramSnapshot);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cil_core::deterministic::{DetRule, DetTwo};
     use cil_core::n_unbounded::NUnbounded;
     use cil_core::two::TwoProcessor;
     use cil_sim::{PackCodec, RoundRobin, Runner, TrialSweep};
@@ -704,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_histogram_covers_every_instance() {
+    fn latency_histogram_holds_one_instance_in_eight() {
         let p = TwoProcessor;
         let inputs = [Val::A, Val::B];
         let limits = [
@@ -721,7 +796,7 @@ mod tests {
                 assert!(report.instances > 0, "{limit:?} at {shards} shards");
                 assert_eq!(
                     report.latency.count(),
-                    report.instances,
+                    report.instances.div_ceil(LATENCY_SAMPLE_EVERY),
                     "{limit:?} at {shards} shards"
                 );
                 assert!(report.latency.quantile(0.5).is_some());
@@ -744,7 +819,128 @@ mod tests {
         );
         // Drained: every admitted instance was run to completion.
         assert_eq!(report.instances, report.stats.trials);
-        assert_eq!(report.latency.count(), report.instances);
+        assert_eq!(
+            report.latency.count(),
+            report.instances.div_ceil(LATENCY_SAMPLE_EVERY)
+        );
+    }
+
+    #[test]
+    fn target_decisions_mode_stops_when_nothing_decides() {
+        // Always-keep never decides: every instance ends undecided at its
+        // step budget, so only the undecided count can close admission.
+        let p = DetTwo::new(DetRule::AlwaysKeep);
+        let inputs = [Val::A, Val::B];
+        let target = 10;
+        for (shards, slots) in [(1, DEFAULT_SLOTS), (2, 5), (3, 1)] {
+            let report = ServeEngine::new(&p, &PackCodec, &inputs, ServeLimit::Decisions(target))
+                .shards(shards)
+                .slots(slots)
+                .max_steps(1000)
+                .run();
+            let at = format!("{shards} shards x {slots} slots");
+            assert_eq!(report.stats.decided, 0, "{at}");
+            assert!(report.stats.undecided >= target, "{at}");
+            assert_eq!(report.stats.undecided, report.instances, "{at}");
+            // Each claim happens while both counts are below the target, so
+            // at most what the shards hold then is admitted on top.
+            let in_flight = shards as u64 * (slots as u64 + CLAIM_CHUNK);
+            assert!(
+                report.instances <= 2 * target + in_flight,
+                "{at}: {} instances",
+                report.instances
+            );
+        }
+    }
+
+    #[test]
+    fn untimed_instances_decide_alike_and_report_no_latency() {
+        let p = NUnbounded::three();
+        let inputs = [Val::A, Val::B, Val::A];
+        let mut timed = InstanceSlot::new(&p, &PackCodec, &inputs, DEFAULT_MAX_STEPS);
+        let mut untimed = InstanceSlot::new(&p, &PackCodec, &inputs, DEFAULT_MAX_STEPS);
+        for trial in (0..50).map(|index| trial_at(3, index)) {
+            timed.begin(trial);
+            untimed.begin_untimed(trial);
+            let a = run_to_end(&mut timed);
+            let b = run_to_end(&mut untimed);
+            assert_eq!((a.index, &a.result, a.value), (b.index, &b.result, b.value));
+            assert!(a.latency_ns > 0);
+            assert_eq!(b.latency_ns, 0);
+        }
+    }
+
+    fn trial_at(root_seed: u64, index: u64) -> Trial {
+        Trial {
+            index,
+            seed: SplitMix64::jump(root_seed, index).next_u64(),
+        }
+    }
+
+    fn run_to_end<P: Protocol>(slot: &mut InstanceSlot<'_, P, PackCodec>) -> InstanceOutcome
+    where
+        P::Reg: cil_registers::Packable,
+    {
+        loop {
+            if let Some(done) = slot.step_batch(DEFAULT_BATCH) {
+                return done;
+            }
+        }
+    }
+
+    /// Asserts that the timed sample of `instances` instances at `root_seed`
+    /// is representative of all of them in step count: its mean, and its
+    /// share of instances that outlast one batch (they wait an arena
+    /// rotation and set the latency tail), lie within four standard errors
+    /// of a random subset of the same size.
+    fn assert_sample_represents_steps<P: Protocol>(
+        protocol: &P,
+        inputs: &[Val],
+        instances: u64,
+        root_seed: u64,
+    ) where
+        P::Reg: cil_registers::Packable,
+    {
+        let mut slot = InstanceSlot::new(protocol, &PackCodec, inputs, DEFAULT_MAX_STEPS);
+        let steps: Vec<f64> = (0..instances)
+            .map(|index| {
+                slot.begin_untimed(trial_at(root_seed, index));
+                run_to_end(&mut slot).result.metric as f64
+            })
+            .collect();
+        let sample: Vec<f64> = (0..instances)
+            .filter(|&i| is_timed(i))
+            .map(|i| steps[i as usize])
+            .collect();
+        let (n_all, n_sample) = (steps.len() as f64, sample.len() as f64);
+        // A subset of n out of N: the standard error of its mean is the
+        // population's standard deviation times sqrt(1/n - 1/N).
+        let shrink = (1.0 / n_sample - 1.0 / n_all).sqrt();
+        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+        let long = |xs: &[f64]| {
+            xs.iter().filter(|&&x| x >= DEFAULT_BATCH as f64).count() as f64 / xs.len() as f64
+        };
+        let mean_all = mean(&steps);
+        let sd = (steps.iter().map(|x| (x - mean_all).powi(2)).sum::<f64>() / (n_all - 1.0)).sqrt();
+        let name = protocol.name();
+        assert!(
+            (mean(&sample) - mean_all).abs() <= 4.0 * sd * shrink,
+            "{name}: sampled mean {} vs {mean_all} (sd {sd})",
+            mean(&sample)
+        );
+        let share = long(&steps);
+        assert!(share > 0.0, "{name}: no instance outlasted a batch");
+        assert!(
+            (long(&sample) - share).abs() <= 4.0 * (share * (1.0 - share)).sqrt() * shrink,
+            "{name}: sampled long share {} vs {share}",
+            long(&sample)
+        );
+    }
+
+    #[test]
+    fn the_timed_sample_represents_every_instance_in_steps() {
+        assert_sample_represents_steps(&TwoProcessor, &[Val::A, Val::B], 40_000, 7);
+        assert_sample_represents_steps(&NUnbounded::three(), &[Val::A, Val::B, Val::A], 16_000, 7);
     }
 
     #[test]

@@ -54,7 +54,7 @@
 use crate::executor::{Halt, RunOutcome};
 use crate::protocol::Protocol;
 use crate::rng::{Rng as _, Xoshiro256StarStar};
-use cil_obs::metrics::{Counter, Histogram, LogHistogram, Registry};
+use cil_obs::metrics::{Counter, Histogram, LogHistogram, LogHistogramSnapshot, Registry};
 use cil_obs::ProgressMeter;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -348,14 +348,16 @@ impl SweepStats {
     }
 }
 
-/// Live observation hooks for a sweep: lock-free metrics and an optional
-/// progress ticker.
+/// Observation hooks for a sweep: metrics published once the sweep joins,
+/// and an optional progress ticker.
 ///
-/// All counters and histograms are `cil-obs` atomics whose updates
-/// commute, so attaching an observer never perturbs the sweep's
-/// [determinism contract](self): the exported metrics — like the
-/// [`SweepStats`] digest — are identical at every `--jobs` setting, and
-/// the stats themselves are byte-identical with and without an observer.
+/// Every metric is computed from the [`SweepStats`] the sweep builds anyway
+/// and published with commutative bulk adds when the workers join, so the
+/// trial loop writes nothing shared per trial and attaching an observer
+/// never perturbs the sweep's [determinism contract](self): the exported
+/// metrics — like the [`SweepStats`] digest — are identical at every
+/// `--jobs` setting, and the stats themselves are byte-identical with and
+/// without an observer.
 ///
 /// Registered metrics (under the `sweep.` prefix by default — other
 /// sweep-shaped engines pick their own via
@@ -409,14 +411,15 @@ impl SweepObserver {
         }
     }
 
-    /// Attaches a live progress meter (trials/sec + ETA on stderr).
+    /// Attaches a live progress meter (trials/sec + ETA on stderr), ticked
+    /// once per finished chunk of trials.
     pub fn with_progress(mut self, meter: ProgressMeter) -> Self {
         self.progress = Some(meter);
         self
     }
 
-    /// Enables per-trial wall-clock timing: each trial's duration lands in
-    /// a `<prefix>.trial_ns` log-scale histogram (p50/p99 latency, total
+    /// Enables per-trial wall-clock timing: trial durations land in a
+    /// `<prefix>.trial_ns` log-scale histogram (p50/p99 latency, total
     /// time). Timing values are wall clock, so — unlike every other sweep
     /// metric — they are *not* byte-identical across runs or `--jobs`
     /// settings; callers keep them out of determinism-checked exports.
@@ -433,32 +436,39 @@ impl SweepObserver {
         self.trial_ns.is_some()
     }
 
-    /// [`record`](SweepObserver::record) plus an optional trial duration.
-    pub fn record_timed(&self, result: &TrialResult, elapsed_ns: Option<u64>) {
-        if let (Some(hist), Some(ns)) = (&self.trial_ns, elapsed_ns) {
-            hist.observe(ns);
+    /// Advances the progress meter, if one is attached, by `n` finished
+    /// trials.
+    pub fn tick(&self, n: u64) {
+        if let Some(meter) = &self.progress {
+            meter.tick(n);
         }
-        self.record(result);
     }
 
-    /// Folds one trial's result into the metrics (commutative, lock-free).
-    pub fn record(&self, result: &TrialResult) {
-        self.trials.inc();
-        self.steps.observe(result.metric);
-        match result.outcome {
-            TrialOutcome::Decided => {
-                self.decided.inc();
-                self.decided_by_k.observe(result.metric);
-            }
-            TrialOutcome::Undecided => self.undecided.inc(),
-            TrialOutcome::Inconsistent => self.inconsistent.inc(),
-            TrialOutcome::Trivial => self.trivial.inc(),
+    /// Publishes a finished run: the six counters and the two step
+    /// histograms from `stats`, and `trial_ns` into `<prefix>.trial_ns` when
+    /// timing is on. The metrics end exactly as if every trial had been
+    /// recorded one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trial_ns` has another resolution than the timing
+    /// histogram (2^5 sub-buckets per octave).
+    pub fn publish(&self, stats: &SweepStats, trial_ns: Option<&LogHistogramSnapshot>) {
+        self.trials.add(stats.trials);
+        self.decided.add(stats.decided);
+        self.undecided.add(stats.undecided);
+        self.inconsistent.add(stats.inconsistent);
+        self.trivial.add(stats.trivial);
+        self.flagged.add(stats.flagged);
+        for (&steps, &count) in &stats.metric_hist {
+            self.steps.observe_n(steps, count);
         }
-        if result.flagged {
-            self.flagged.inc();
+        for (&steps, &count) in &stats.decided_by_k {
+            self.decided_by_k.observe_n(steps, count);
         }
-        if let Some(meter) = &self.progress {
-            meter.tick(1);
+        if let (Some(hist), Some(snap)) = (&self.trial_ns, trial_ns) {
+            hist.merge_snapshot(snap)
+                .expect("trial timings are recorded at the timing resolution");
         }
     }
 
@@ -530,11 +540,13 @@ impl TrialSweep {
         self.run_observed(None, trial_fn)
     }
 
-    /// [`TrialSweep::run`] with an optional [`SweepObserver`] receiving
-    /// every trial result as it completes. The observer only touches
-    /// commutative atomics, so the returned [`SweepStats`] — and the
-    /// observer's own exported metrics — are identical at every worker
-    /// count, and identical to an unobserved run.
+    /// [`TrialSweep::run`] with an optional [`SweepObserver`]: its progress
+    /// meter ticks once per finished chunk of trials, and its metrics are
+    /// published from the merged [`SweepStats`] (and, with timing, the
+    /// workers' merged trial-duration histograms) when the workers join.
+    /// The returned [`SweepStats`] — and the observer's exported metrics —
+    /// are identical at every worker count, and identical to an unobserved
+    /// run.
     pub fn run_observed<F>(&self, observer: Option<&SweepObserver>, trial_fn: F) -> SweepStats
     where
         F: Fn(Trial) -> TrialResult + Sync,
@@ -545,56 +557,61 @@ impl TrialSweep {
             seed: crate::SplitMix64::jump(self.root_seed, index).next_u64(),
         };
         let time_trials = observer.is_some_and(SweepObserver::wants_timing);
-        let absorb_one = |stats: &mut SweepStats, index: u64| {
-            let started = time_trials.then(std::time::Instant::now);
-            let result = trial_fn(trial_at(index));
-            if let Some(o) = observer {
-                let elapsed =
-                    started.map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                o.record_timed(&result, elapsed);
+        let cursor = AtomicU64::new(0);
+        // One worker: claims chunks until the index range is used up, timing
+        // each trial into a histogram of its own when asked.
+        let worker = || {
+            let mut stats = SweepStats::new(self.max_failure_samples);
+            let trial_ns = time_trials.then(|| LogHistogram::new(TIMING_SUB_BITS));
+            loop {
+                let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
+                if start >= self.trials {
+                    break;
+                }
+                let end = (start + CLAIM_CHUNK).min(self.trials);
+                for index in start..end {
+                    let started = trial_ns.as_ref().map(|_| std::time::Instant::now());
+                    let result = trial_fn(trial_at(index));
+                    if let (Some(hist), Some(t)) = (&trial_ns, started) {
+                        hist.observe(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                    }
+                    stats.absorb(index, result);
+                }
+                if let Some(o) = observer {
+                    o.tick(end - start);
+                }
             }
-            stats.absorb(index, result);
+            (stats, trial_ns.map(|h| h.snapshot()))
         };
 
-        if jobs == 1 || self.trials <= 1 {
-            let mut stats = SweepStats::new(self.max_failure_samples);
-            for index in 0..self.trials {
-                absorb_one(&mut stats, index);
-            }
-            return stats;
-        }
-
-        let cursor = AtomicU64::new(0);
-        let trials = self.trials;
-        let max_samples = self.max_failure_samples;
-        let mut parts: Vec<SweepStats> = Vec::with_capacity(jobs);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = SweepStats::new(max_samples);
-                        loop {
-                            let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-                            if start >= trials {
-                                break;
-                            }
-                            let end = (start + CLAIM_CHUNK).min(trials);
-                            for index in start..end {
-                                absorb_one(&mut local, index);
-                            }
-                        }
-                        local
-                    })
+        let parts: Vec<(SweepStats, Option<LogHistogramSnapshot>)> =
+            if jobs == 1 || self.trials <= 1 {
+                vec![worker()]
+            } else {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..jobs).map(|_| scope.spawn(worker)).collect();
+                    handles
+                        .into_iter()
+                        .map(|handle| handle.join().expect("sweep worker panicked"))
+                        .collect()
                 })
-                .collect();
-            for handle in handles {
-                parts.push(handle.join().expect("sweep worker panicked"));
-            }
-        });
+            };
 
         let mut stats = SweepStats::new(self.max_failure_samples);
-        for part in parts {
+        let mut trial_ns = time_trials.then(|| LogHistogramSnapshot {
+            sub_bits: TIMING_SUB_BITS,
+            buckets: BTreeMap::new(),
+            sum: 0,
+        });
+        for (part, part_ns) in parts {
             stats.merge(part);
+            if let (Some(all), Some(part_ns)) = (&mut trial_ns, part_ns) {
+                all.merge(&part_ns)
+                    .expect("every worker times at the same resolution");
+            }
+        }
+        if let Some(o) = observer {
+            o.publish(&stats, trial_ns.as_ref());
         }
         stats
     }
@@ -717,6 +734,64 @@ mod tests {
         let observed = base.clone().jobs(4).run_observed(Some(&observer), toy);
         assert_eq!(plain, observed);
         assert_eq!(plain.digest(), observed.digest());
+    }
+
+    #[test]
+    fn published_metrics_equal_recording_each_trial() {
+        // The reference records every trial into the registry as it
+        // finishes; the join-time publish must export the same bytes.
+        let trials = 600;
+        let reference = Registry::new();
+        for index in 0..trials {
+            let seed = crate::SplitMix64::jump(3, index).next_u64();
+            let result = toy(Trial { index, seed });
+            reference.counter("sweep.trials").inc();
+            reference
+                .histogram("sweep.steps", 1, SWEEP_HIST_BUCKETS)
+                .observe(result.metric);
+            let outcome = match result.outcome {
+                TrialOutcome::Decided => {
+                    reference
+                        .histogram("sweep.decided_by_k", 1, SWEEP_HIST_BUCKETS)
+                        .observe(result.metric);
+                    "decided"
+                }
+                TrialOutcome::Undecided => "undecided",
+                TrialOutcome::Inconsistent => "inconsistent",
+                TrialOutcome::Trivial => "trivial",
+            };
+            reference.counter(&format!("sweep.{outcome}")).inc();
+            reference
+                .counter("sweep.flagged")
+                .add(u64::from(result.flagged));
+        }
+        for jobs in [1, 3] {
+            let registry = Registry::new();
+            let observer = SweepObserver::new(&registry);
+            TrialSweep::new(trials)
+                .root_seed(3)
+                .jobs(jobs)
+                .run_observed(Some(&observer), toy);
+            assert_eq!(
+                registry.snapshot().to_json(),
+                reference.snapshot().to_json(),
+                "jobs={jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn timed_sweep_records_one_duration_per_trial() {
+        for jobs in [1, 3] {
+            let registry = Registry::new();
+            let observer = SweepObserver::new(&registry).with_timing(&registry, "sweep");
+            TrialSweep::new(500)
+                .jobs(jobs)
+                .run_observed(Some(&observer), toy);
+            let snap = registry.snapshot();
+            let timed = snap.log_histogram("sweep.trial_ns").map(|h| h.count());
+            assert_eq!(timed, Some(500), "jobs={jobs}");
+        }
     }
 
     #[test]

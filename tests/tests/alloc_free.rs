@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cil_core::n_unbounded::NUnbounded;
 use cil_core::three_bounded::ThreeBounded;
 use cil_core::two::TwoProcessor;
-use cil_serve::InstanceSlot;
+use cil_serve::{InstanceSlot, LATENCY_SAMPLE_EVERY};
 use cil_sim::sweep::Trial;
 use cil_sim::{
     Adversary, Alternator, BoxedAdversary, Choice, LaggardFirst, LeaderFirst, PackCodec, Protocol,
@@ -85,12 +85,18 @@ fn assert_alloc_free<R>(what: &str, mut f: impl FnMut() -> R) -> R {
 }
 
 /// Runs `slot` through one full instance without touching stats
-/// aggregation (which may legitimately allocate).
+/// aggregation (which may legitimately allocate). The slot is armed as
+/// `ServeEngine` arms it: timed with `begin` for the latency sample, with
+/// `begin_untimed` otherwise.
 fn run_instance<P: Protocol>(slot: &mut InstanceSlot<'_, P, PackCodec>, trial: Trial) -> u64
 where
     P::Reg: cil_registers::Packable,
 {
-    slot.begin(trial);
+    if trial.index.is_multiple_of(LATENCY_SAMPLE_EVERY) {
+        slot.begin(trial);
+    } else {
+        slot.begin_untimed(trial);
+    }
     loop {
         if let Some(done) = slot.step_batch(1024) {
             return done.result.metric;
@@ -194,7 +200,8 @@ fn hot_paths_do_not_allocate() {
 
     // 2. The serve steady state, two-processor protocol: instance 0 warms
     //    the slot (first `begin` fills the state vector), then every later
-    //    instance must run begin-to-decision without a single allocation.
+    //    instance, timed or not, must run begin-to-decision without a
+    //    single allocation.
     let two = TwoProcessor::new();
     let inputs = [Val::A, Val::B];
     let mut slot = InstanceSlot::new(&two, &PackCodec, &inputs, 1_000_000);

@@ -213,3 +213,23 @@ fn zero_serve_limits_exit_2_before_writing() {
         assert!(!out.exists(), "cil {line} wrote {}", out.display());
     }
 }
+
+#[test]
+fn target_decisions_stop_when_nothing_decides() {
+    // Always-keep never decides, so every instance ends undecided at its
+    // step budget; admission must close on the undecided count instead.
+    let line = "serve det:always-keep --target-decisions 10 --max-steps 1000 --shards 1";
+    let out = match dispatch_full(line.split_whitespace().map(String::from)) {
+        Ok(out) => out,
+        Err(failure) => panic!("cil {line}: exit {}", failure.exit_code()),
+    };
+    let undecided: u64 = out
+        .split("undecided: ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no undecided count in:\n{out}"));
+    assert!(undecided >= 10, "{out}");
+    assert!(out.contains("decided: 0 "), "{out}");
+    assert!(out.contains("not reached"), "{out}");
+}
