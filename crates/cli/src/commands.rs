@@ -127,8 +127,8 @@ USAGE:
                 sharded arenas (allocation-free steady state), then report
                 decisions/sec and service-latency percentiles; --out writes
                 them to <file> in the BENCH_serve.json schema. Latency is
-                sampled: instance i is timed iff i % 8 == 0 (so are the
-                --timings serve.trial_ns and its span); every count covers
+                sampled: instance i is timed iff i % 8 == 0 (so is the
+                --timings serve.trial_ns histogram); every count covers
                 every instance. --inputs defaults to alternating a,b. With
                 --instances, stats and serve.* metric exports are a pure
                 function of (--seed, --instances) — byte-identical at any
@@ -167,7 +167,13 @@ OBSERVABILITY: --progress renders a live rate/ETA (sweep) or per-level BFS
       deterministic (byte-identical at any --jobs); --timings additionally
       records wall-clock telemetry — hierarchical spans, log-scale latency
       histograms (trial, gate-wait/run, per-sweep), reproducible in shape
-      but never in value. None of these change results.
+      but never in value. Spans nest: a child's total never exceeds its
+      parent's, and a parent's self time is its total minus its children's.
+      The sweep, stress and serve root spans count worker time (one span
+      per worker over the run's wall clock), so sweep/trial and
+      stress/trial nest at any --jobs; serve books the root alone, since a
+      sampled service latency overlaps the other resident instances' steps.
+      None of these change results.
 MUTANTS <M>: racy — the planted interleaving-sensitive consistency bug;
       dead-write | width-waste — model-compliant (audit passes) but each
       fires its `cil lint` pass. Model mutants, accepted by audit and lint
@@ -272,30 +278,45 @@ fn elapsed_ns(started: std::time::Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Builds the two-level span tree of a trial sweep from its wall-clock
-/// duration and the per-trial timing histogram already in the registry:
-/// `<root>` (batch overhead as self time) over `<root>/trial`.
-fn merge_sweep_spans(registry: &Registry, root: &str, hist: &str, trials: u64, wall_ns: u64) {
-    let trials_total = registry
-        .snapshot()
-        .log_histogram(hist)
-        .map(|h| h.sum)
-        .unwrap_or(0);
+/// Books a parallel run's `--timings` span tree from its wall-clock
+/// duration. The `<root>` span is worker time, `workers` spans of `wall_ns`
+/// each, as merging one tree per worker would give. With `trials` (the
+/// per-trial timing histogram already in the registry, and the trial
+/// count), `<root>/trial` holds the trials' summed time and the root keeps
+/// the rest as self time: each worker runs its trials one after another
+/// inside the wall, so the child never outgrows its root.
+fn merge_run_spans(
+    registry: &Registry,
+    root: &str,
+    workers: usize,
+    wall_ns: u64,
+    trials: Option<(&str, u64)>,
+) {
+    let root_ns = wall_ns.saturating_mul(workers as u64);
     let mut tree = SpanTree::new();
+    let mut root_self_ns = root_ns;
+    if let Some((hist, count)) = trials {
+        let trials_ns = registry
+            .snapshot()
+            .log_histogram(hist)
+            .map(|h| h.sum)
+            .unwrap_or(0);
+        root_self_ns = root_ns.saturating_sub(trials_ns);
+        tree.add(
+            &format!("{root}/trial"),
+            SpanStat {
+                count,
+                total_ns: trials_ns,
+                self_ns: trials_ns,
+            },
+        );
+    }
     tree.add(
         root,
         SpanStat {
-            count: 1,
-            total_ns: wall_ns,
-            self_ns: wall_ns.saturating_sub(trials_total),
-        },
-    );
-    tree.add(
-        &format!("{root}/trial"),
-        SpanStat {
-            count: trials,
-            total_ns: trials_total,
-            self_ns: trials_total,
+            count: workers as u64,
+            total_ns: root_ns,
+            self_ns: root_self_ns,
         },
     );
     registry.merge_spans(&tree);
@@ -849,12 +870,12 @@ fn sweep_one<P: Protocol + Sync + 'static, C>(
         obs.finish();
     }
     if let Some(started) = sweep_started {
-        merge_sweep_spans(
+        merge_run_spans(
             &registry,
             "sweep",
-            "sweep.trial_ns",
-            stats.trials,
+            effective,
             elapsed_ns(started),
+            Some(("sweep.trial_ns", stats.trials)),
         );
     }
     write_metrics_out(args, &registry)?;
@@ -1402,15 +1423,10 @@ where
     let report = engine.run_observed(observer.as_ref());
     report.export_decided_values(&registry);
     if timings {
-        // `serve.trial_ns` holds the timed sample only, so the trial span
-        // counts the timed instances its total covers.
-        merge_sweep_spans(
-            &registry,
-            "serve",
-            "serve.trial_ns",
-            report.latency.count(),
-            report.elapsed_ns,
-        );
+        // No `serve/trial` child: a sampled latency also covers the steps
+        // of the other slots resident in its shard, so it nests under
+        // nothing. The sample stays in the `serve.trial_ns` histogram.
+        merge_run_spans(&registry, "serve", report.shards, report.elapsed_ns, None);
     }
     write_metrics_out(args, &registry)?;
     let out_path = args.get("out");
@@ -1554,12 +1570,12 @@ where
         obs.finish();
     }
     if let Some(started) = stress_started {
-        merge_sweep_spans(
+        merge_run_spans(
             &registry,
             "stress",
-            "conc.trial_ns",
-            stats.trials,
+            cil_sim::resolve_jobs(cfg.jobs),
             elapsed_ns(started),
+            Some(("conc.trial_ns", stats.trials)),
         );
     }
     write_metrics_out(args, &registry)?;

@@ -33,6 +33,7 @@ pub enum DetRule {
 impl DetRule {
     /// The value written at line (2) for this rule. `flag` is the
     /// per-processor alternation bit (used by [`DetRule::Alternate`]).
+    #[inline]
     fn written(self, mine: Val, seen: Val, flag: bool) -> Val {
         match self {
             DetRule::AlwaysAdopt => seen,
@@ -156,10 +157,12 @@ impl Protocol for DetTwo {
         ]
     }
 
+    #[inline]
     fn init(&self, _pid: usize, input: Val) -> DetState {
         DetState::Start { input }
     }
 
+    #[inline]
     fn choose(&self, pid: usize, state: &DetState) -> Choice<Op<Option<Val>>> {
         match state {
             DetState::Start { input } => Choice::det(Op::Write(RegId(pid), Some(*input))),
@@ -172,6 +175,7 @@ impl Protocol for DetTwo {
         }
     }
 
+    #[inline]
     fn transit(
         &self,
         _pid: usize,
@@ -207,6 +211,7 @@ impl Protocol for DetTwo {
         }
     }
 
+    #[inline]
     fn decision(&self, state: &DetState) -> Option<Val> {
         match state {
             DetState::Decided { value } => Some(*value),

@@ -174,6 +174,7 @@ impl NUnbounded {
     }
 
     /// The peers of `pid`, in the fixed order they are read each phase.
+    #[inline]
     fn peers(&self, pid: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.n).filter(move |&j| j != pid)
     }
@@ -196,6 +197,7 @@ impl NUnbounded {
 
     /// [`conclude`](Self::conclude) over pre-folded scan statistics — one
     /// alloc-free pass, no `all`/`leaders` temporaries.
+    #[inline]
     pub(crate) fn conclude_scan(my: NReg, scan: PhaseScan, strict: bool) -> PhaseOutcome {
         // Decision case 1: the pref of all registers is the same.
         if scan.all_same {
@@ -251,6 +253,7 @@ pub struct PhaseScan {
 
 impl PhaseScan {
     /// Statistics of the singleton view `{my}` at the start of a phase.
+    #[inline]
     pub fn start(my: NReg) -> Self {
         PhaseScan {
             maxnum: my.num,
@@ -263,6 +266,7 @@ impl PhaseScan {
 
     /// Folds one peer register into the statistics. `my` is the phase
     /// owner's own contents (needed for the all-prefs-equal rule).
+    #[inline]
     pub fn observe(&mut self, my: NReg, r: NReg) {
         self.all_same &= r.pref == my.pref;
         if r.num > self.maxnum {
@@ -311,10 +315,12 @@ impl Protocol for NUnbounded {
         .collect()
     }
 
+    #[inline]
     fn init(&self, _pid: usize, input: Val) -> NState {
         NState::Start { input }
     }
 
+    #[inline]
     fn choose(&self, pid: usize, state: &NState) -> Choice<Op<NReg>> {
         match state {
             NState::Start { input } => Choice::det(Op::Write(
@@ -344,6 +350,7 @@ impl Protocol for NUnbounded {
         }
     }
 
+    #[inline]
     fn transit(
         &self,
         _pid: usize,
@@ -397,6 +404,7 @@ impl Protocol for NUnbounded {
         }
     }
 
+    #[inline]
     fn decision(&self, state: &NState) -> Option<Val> {
         match state {
             NState::Decided { value } => Some(*value),

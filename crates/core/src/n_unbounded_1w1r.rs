@@ -95,11 +95,13 @@ impl NUnbounded1W1R {
     }
 
     /// Peers of `pid` in fixed order.
+    #[inline]
     fn peers(&self, pid: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.n).filter(move |&j| j != pid)
     }
 
     /// Register `r_{writer→reader}`.
+    #[inline]
     fn pair_reg(&self, writer: usize, reader: usize) -> RegId {
         debug_assert_ne!(writer, reader);
         let slot = self
@@ -142,6 +144,7 @@ impl Protocol for NUnbounded1W1R {
         specs
     }
 
+    #[inline]
     fn init(&self, _pid: usize, input: Val) -> WState {
         WState::WriteCopies {
             reg: NReg {
@@ -152,6 +155,7 @@ impl Protocol for NUnbounded1W1R {
         }
     }
 
+    #[inline]
     fn choose(&self, pid: usize, state: &WState) -> Choice<Op<NReg>> {
         match state {
             WState::WriteCopies { reg, idx } => {
@@ -174,6 +178,7 @@ impl Protocol for NUnbounded1W1R {
         }
     }
 
+    #[inline]
     fn transit(
         &self,
         _pid: usize,
@@ -239,6 +244,7 @@ impl Protocol for NUnbounded1W1R {
         }
     }
 
+    #[inline]
     fn decision(&self, state: &WState) -> Option<Val> {
         match state {
             WState::Decided { value } => Some(*value),

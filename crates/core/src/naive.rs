@@ -64,6 +64,7 @@ impl Naive {
         Naive { n }
     }
 
+    #[inline]
     fn peers(&self, pid: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.n).filter(move |&j| j != pid)
     }
@@ -87,10 +88,12 @@ impl Protocol for Naive {
         .collect()
     }
 
+    #[inline]
     fn init(&self, _pid: usize, input: Val) -> NaiveState {
         NaiveState::Write { cur: input }
     }
 
+    #[inline]
     fn choose(&self, pid: usize, state: &NaiveState) -> Choice<Op<NaiveReg>> {
         match state {
             NaiveState::Write { cur } => Choice::det(Op::Write(pid.into(), Some(*cur))),
@@ -102,6 +105,7 @@ impl Protocol for Naive {
         }
     }
 
+    #[inline]
     fn transit(
         &self,
         _pid: usize,
@@ -142,6 +146,7 @@ impl Protocol for Naive {
         }
     }
 
+    #[inline]
     fn decision(&self, state: &NaiveState) -> Option<Val> {
         match state {
             NaiveState::Decided { value } => Some(*value),

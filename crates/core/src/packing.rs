@@ -17,6 +17,7 @@ impl Packable for NReg {
     /// Packs `(pref, num)` as `pref_code << 48 | num`. Supports `pref`
     /// values below 2¹⁵ and `num` below 2⁴⁸ — far beyond anything a run can
     /// produce (Theorem 9: `P[num = k] ≤ (3/4)^k`).
+    #[inline]
     fn pack(&self) -> u64 {
         let pref_code = match self.pref {
             None => 0u64,
@@ -29,6 +30,7 @@ impl Packable for NReg {
         (pref_code << 48) | self.num
     }
 
+    #[inline]
     fn unpack(word: u64) -> Self {
         let pref_code = word >> 48;
         let num = word & ((1 << 48) - 1);
@@ -41,6 +43,7 @@ impl Packable for NReg {
     }
 }
 
+#[inline]
 fn tag_code(tag: Tag) -> u64 {
     match tag {
         Tag::V(Val::A) => 0,
@@ -51,6 +54,7 @@ fn tag_code(tag: Tag) -> u64 {
     }
 }
 
+#[inline]
 fn tag_decode(code: u64) -> Tag {
     match code {
         0 => Tag::V(Val::A),
@@ -60,6 +64,7 @@ fn tag_decode(code: u64) -> Tag {
     }
 }
 
+#[inline]
 fn hist_code(h: Hist) -> u64 {
     match h {
         Hist::A => 0,
@@ -68,6 +73,7 @@ fn hist_code(h: Hist) -> u64 {
     }
 }
 
+#[inline]
 fn hist_decode(code: u64) -> Hist {
     match code {
         0 => Hist::A,
@@ -78,6 +84,7 @@ fn hist_decode(code: u64) -> Hist {
 
 impl Packable for BReg {
     /// Dense encoding of the 75-value bounded alphabet (fits in 7 bits).
+    #[inline]
     fn pack(&self) -> u64 {
         match self {
             BReg::Bot => 0,
@@ -90,6 +97,7 @@ impl Packable for BReg {
         }
     }
 
+    #[inline]
     fn unpack(word: u64) -> Self {
         match word {
             0 => BReg::Bot,

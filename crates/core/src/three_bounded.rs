@@ -73,6 +73,7 @@ pub enum Tag {
 
 impl Tag {
     /// The underlying value `x`.
+    #[inline]
     pub fn value(self) -> Val {
         match self {
             Tag::V(v) | Tag::Pref(v) => v,
@@ -80,6 +81,7 @@ impl Tag {
     }
 
     /// Whether this is a `pref` state.
+    #[inline]
     pub fn is_pref(self) -> bool {
         matches!(self, Tag::Pref(_))
     }
@@ -124,6 +126,7 @@ pub const BOUNDARIES: [u8; 3] = [3, 6, 9];
 
 /// Signed circular distance: how far `x` is ahead of `y`, in `−4..=4`.
 /// Well defined while the window invariant (spread ≤ 4) holds.
+#[inline]
 pub fn ahead(x: u8, y: u8) -> i8 {
     let d = (i16::from(x) + 9 - i16::from(y)) % 9;
     if d <= 4 {
@@ -133,6 +136,7 @@ pub fn ahead(x: u8, y: u8) -> i8 {
     }
 }
 
+#[inline]
 fn wrap_next(ctr: u8) -> u8 {
     if ctr == 9 {
         1
@@ -141,12 +145,14 @@ fn wrap_next(ctr: u8) -> u8 {
     }
 }
 
+#[inline]
 fn is_boundary(ctr: u8) -> bool {
     BOUNDARIES.contains(&ctr)
 }
 
 /// The position a peer register occupies for ordering purposes.
 /// ⊥ counts as the starting position 1; decided registers have none.
+#[inline]
 fn pos_of(reg: &BReg) -> Option<u8> {
     match reg {
         BReg::Bot => Some(1),
@@ -278,6 +284,7 @@ impl ThreeBounded {
         self.opts
     }
 
+    #[inline]
     fn other(v: Val) -> Val {
         if v == Val::A {
             Val::B
@@ -286,6 +293,7 @@ impl ThreeBounded {
         }
     }
 
+    #[inline]
     fn summarize(saw_a: bool, saw_b: bool) -> Hist {
         match (saw_a, saw_b) {
             (true, false) => Hist::A,
@@ -296,6 +304,7 @@ impl ThreeBounded {
 
     /// c1/c2 of the paper: the value carried by an A₃ advance, given the
     /// mover's current value `v` and the leader tags.
+    #[inline]
     fn advance_value(v: Val, leader_tags: &[Tag]) -> Val {
         let o = Self::other(v);
         let c1 = leader_tags.iter().any(|t| t.value() == v)
@@ -314,6 +323,7 @@ impl ThreeBounded {
 
     /// The end-of-phase computation for a processor holding `my`, having
     /// read `peers` (with the ahead one read last — see [`Stage`]).
+    #[inline]
     fn compute(
         opts: BoundedOptions,
         my: &RunReg,
@@ -467,10 +477,12 @@ impl Protocol for ThreeBounded {
         .collect()
     }
 
+    #[inline]
     fn init(&self, _pid: usize, input: Val) -> BState {
         BState::Start { input }
     }
 
+    #[inline]
     fn choose(&self, pid: usize, state: &BState) -> Choice<Op<BReg>> {
         match state {
             BState::Start { input } => Choice::det(Op::Write(
@@ -498,6 +510,7 @@ impl Protocol for ThreeBounded {
         }
     }
 
+    #[inline]
     fn transit(
         &self,
         _pid: usize,
@@ -594,6 +607,7 @@ impl Protocol for ThreeBounded {
         }
     }
 
+    #[inline]
     fn decision(&self, state: &BState) -> Option<Val> {
         match state {
             BState::Decided { value } => Some(*value),

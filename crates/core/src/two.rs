@@ -77,10 +77,12 @@ impl TwoProcessor {
         TwoProcessor
     }
 
+    #[inline]
     fn own_reg(pid: usize) -> RegId {
         RegId(pid)
     }
 
+    #[inline]
     fn other_reg(pid: usize) -> RegId {
         RegId(1 - pid)
     }
@@ -106,10 +108,12 @@ impl Protocol for TwoProcessor {
         ]
     }
 
+    #[inline]
     fn init(&self, _pid: usize, input: Val) -> TwoState {
         TwoState::Start { input }
     }
 
+    #[inline]
     fn choose(&self, pid: usize, state: &TwoState) -> Choice<Op<TwoReg>> {
         match state {
             TwoState::Start { input } => Choice::det(Op::Write(Self::own_reg(pid), Some(*input))),
@@ -125,6 +129,7 @@ impl Protocol for TwoProcessor {
         }
     }
 
+    #[inline]
     fn transit(
         &self,
         _pid: usize,
@@ -156,6 +161,7 @@ impl Protocol for TwoProcessor {
         }
     }
 
+    #[inline]
     fn decision(&self, state: &TwoState) -> Option<Val> {
         match state {
             TwoState::Decided { value } => Some(*value),

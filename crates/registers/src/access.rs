@@ -76,6 +76,7 @@ impl ReaderSet {
     }
 
     /// Whether `pid` is allowed to read.
+    #[inline]
     pub fn allows(&self, pid: Pid) -> bool {
         match self {
             ReaderSet::All => true,

@@ -77,11 +77,13 @@ impl HwCell {
 
     /// Atomic load (sequentially consistent, the strongest real-hardware
     /// analogue of the paper's global-time atomicity).
+    #[inline]
     pub fn load(&self) -> u64 {
         self.0.load(Ordering::SeqCst)
     }
 
     /// Atomic store.
+    #[inline]
     pub fn store(&self, value: u64) {
         self.0.store(value, Ordering::SeqCst);
     }
@@ -168,9 +170,13 @@ impl<V> HwRegisterFile<V> {
     /// instead of rebuilding specs and cells per instance, a reset brings
     /// the file back to the paper's all-⊥ start without touching the heap.
     /// Requires exclusive access so no thread observes a torn start state.
+    /// That same `&mut` shuts out every other thread, so the cells are
+    /// written as plain words rather than through SeqCst stores; whatever
+    /// later hands the file to another thread (a spawn, a scope) orders
+    /// those writes before that thread's first load.
     pub fn reset(&mut self) {
-        for (cell, &word) in self.cells.iter().zip(&self.init_words) {
-            cell.store(word);
+        for (cell, &word) in self.cells.iter_mut().zip(&self.init_words) {
+            *cell.0.get_mut() = word;
         }
     }
 

@@ -35,6 +35,16 @@
 //! one mode whose admission reads them; otherwise a shard touches shared
 //! memory once per claim of a chunk of instance indices.
 //!
+//! Within a shard, a finished instance that decided cleanly in fewer than
+//! 256 steps only bumps one slot of a dense array indexed by its step
+//! count, and a decided value below 8 one slot of another; those cover
+//! nearly every instance of the paper's protocols. Every other outcome,
+//! step count or value goes through [`SweepStats::absorb`] and the value
+//! map as it finishes. When the shard ends, the arrays are folded in
+//! through [`SweepStats::absorb_decided`], so the shard's stats and counts
+//! equal absorbing every instance one by one, and the merged report and
+//! every export are unchanged.
+//!
 //! # Latency sample
 //!
 //! Reading the clock at admission and again at decision costs about a
@@ -85,6 +95,13 @@ pub const DEFAULT_BATCH: u64 = 32;
 
 /// Instance indices a shard claims from the shared cursor per fetch.
 const CLAIM_CHUNK: u64 = 64;
+
+/// Clean decisions taking fewer steps than this are counted in a dense
+/// per-shard array (see the [module docs](self#shard-local-bookkeeping)).
+const DENSE_METRICS: usize = 256;
+
+/// Decided values below this are counted in a dense per-shard array.
+const DENSE_VALUES: usize = 8;
 
 /// One instance in this many is timed: instance `i` carries a wall-clock
 /// latency iff `i % LATENCY_SAMPLE_EVERY == 0`, so index 0 always does. See
@@ -608,8 +625,7 @@ where
         let mut slots: Vec<InstanceSlot<'_, P, C>> = (0..self.slots)
             .map(|_| InstanceSlot::new(self.protocol, self.codec, &self.inputs, self.max_steps))
             .collect();
-        let mut stats = SweepStats::new(8);
-        let mut values: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut tally = ShardTally::new();
         let latency = LogHistogram::new(LATENCY_SUB_BITS);
         // Locally claimed-but-unstarted index range.
         let mut pending = 0u64..0u64;
@@ -641,9 +657,6 @@ where
                 }
                 if let Some(done) = slot.step_batch(self.batch) {
                     active -= 1;
-                    if let Some(v) = done.value {
-                        *values.entry(v.0).or_insert(0) += 1;
-                    }
                     if counts_finishes {
                         let count = match done.value {
                             Some(_) => &finished.decided,
@@ -654,7 +667,7 @@ where
                     if is_timed(done.index) {
                         latency.observe(done.latency_ns);
                     }
-                    stats.absorb(done.index, done.result);
+                    tally.record(done);
                     if let Some(o) = observer {
                         unticked += 1;
                         if unticked == CLAIM_CHUNK {
@@ -677,7 +690,69 @@ where
         if let Some(o) = observer {
             o.tick(unticked);
         }
+        let (stats, values) = tally.finish();
         (stats, values, latency.snapshot())
+    }
+}
+
+/// A shard's count of its finished instances. Clean decisions in fewer
+/// than [`DENSE_METRICS`] steps, and decided values below
+/// [`DENSE_VALUES`], are counted in two arrays; every other outcome, metric
+/// or value goes through [`SweepStats::absorb`] and the value map as it
+/// finishes. [`finish`](ShardTally::finish) folds the arrays in, so the
+/// result equals absorbing every instance one by one.
+struct ShardTally {
+    stats: SweepStats,
+    values: BTreeMap<u64, u64>,
+    /// Clean decisions by step count.
+    decided_in: [u64; DENSE_METRICS],
+    /// Decided instances by value.
+    decided_on: [u64; DENSE_VALUES],
+}
+
+impl ShardTally {
+    fn new() -> Self {
+        ShardTally {
+            stats: SweepStats::new(8),
+            values: BTreeMap::new(),
+            decided_in: [0; DENSE_METRICS],
+            decided_on: [0; DENSE_VALUES],
+        }
+    }
+
+    // `shard_loop` is generic, so it is compiled in the caller's crate; the
+    // attribute lets this per-instance call be inlined there.
+    #[inline]
+    fn record(&mut self, done: InstanceOutcome) {
+        if let Some(Val(v)) = done.value {
+            if v < DENSE_VALUES as u64 {
+                self.decided_on[v as usize] += 1;
+            } else {
+                *self.values.entry(v).or_insert(0) += 1;
+            }
+        }
+        let result = done.result;
+        if result.outcome == TrialOutcome::Decided
+            && !result.flagged
+            && result.metric < DENSE_METRICS as u64
+        {
+            self.decided_in[result.metric as usize] += 1;
+        } else {
+            self.stats.absorb(done.index, result);
+        }
+    }
+
+    /// The stats and decided-value counts with the arrays folded in.
+    fn finish(mut self) -> (SweepStats, BTreeMap<u64, u64>) {
+        for (metric, &n) in (0u64..).zip(&self.decided_in) {
+            self.stats.absorb_decided(metric, n);
+        }
+        for (value, &n) in (0u64..).zip(&self.decided_on) {
+            if n > 0 {
+                *self.values.entry(value).or_insert(0) += n;
+            }
+        }
+        (self.stats, self.values)
     }
 }
 
@@ -697,8 +772,10 @@ type ShardResult = (SweepStats, BTreeMap<u64, u64>, LogHistogramSnapshot);
 mod tests {
     use super::*;
     use cil_core::deterministic::{DetRule, DetTwo};
+    use cil_core::kvalued::KValued;
     use cil_core::n_unbounded::NUnbounded;
     use cil_core::two::TwoProcessor;
+    use cil_core::KRegCodec;
     use cil_sim::{PackCodec, RoundRobin, Runner, TrialSweep};
 
     fn sweep_digest<P: Protocol + Sync>(
@@ -739,6 +816,79 @@ mod tests {
             report.decided_values.values().sum::<u64>(),
             report.stats.decided
         );
+    }
+
+    /// Runs `instances` instances at 1, 2 and 3 shards and asserts each
+    /// report equals a `TrialSweep` + `Runner`/`RoundRobin` run of the same
+    /// trials: the same stats digest and the same decided-value counts.
+    /// Returns the one-shard report.
+    fn assert_serve_matches_sweep<P, C>(
+        protocol: &P,
+        codec: &C,
+        inputs: &[Val],
+        instances: u64,
+        max_steps: u64,
+    ) -> ServeReport
+    where
+        P: Protocol + Sync,
+        P::State: Send,
+        C: WordCodec<P::Reg>,
+    {
+        let seed = 13;
+        let digest = sweep_digest(protocol, inputs, instances, seed, max_steps);
+        let mut values = BTreeMap::new();
+        for index in 0..instances {
+            let out = Runner::new(protocol, inputs, RoundRobin::new())
+                .seed(trial_at(seed, index).seed)
+                .max_steps(max_steps)
+                .run();
+            if TrialResult::from_run(&out).outcome == TrialOutcome::Decided {
+                let v = out.agreement().expect("a clean decision agrees");
+                *values.entry(v.0).or_insert(0) += 1;
+            }
+        }
+        let reports: Vec<ServeReport> = (1..=3)
+            .map(|shards| {
+                ServeEngine::new(protocol, codec, inputs, ServeLimit::Instances(instances))
+                    .root_seed(seed)
+                    .shards(shards)
+                    .slots(5)
+                    .max_steps(max_steps)
+                    .run()
+            })
+            .collect();
+        for (report, shards) in reports.iter().zip(1..) {
+            let name = protocol.name();
+            assert_eq!(report.stats.digest(), digest, "{name} at {shards} shards");
+            assert_eq!(report.decided_values, values, "{name} at {shards} shards");
+        }
+        reports.into_iter().next().expect("three reports")
+    }
+
+    #[test]
+    fn outcomes_past_the_dense_tally_match_the_simulator_sweep() {
+        // Sixteen processors decide in more steps than the metric array holds.
+        let n16 = NUnbounded::new(16);
+        let inputs: Vec<Val> = (0..16).map(|i| Val(i % 2)).collect();
+        let report = assert_serve_matches_sweep(&n16, &PackCodec, &inputs, 120, DEFAULT_MAX_STEPS);
+        assert!(report
+            .stats
+            .decided_by_k
+            .keys()
+            .any(|&k| k >= DENSE_METRICS as u64));
+
+        // Always-keep never decides: every instance ends at its step budget.
+        let keep = DetTwo::new(DetRule::AlwaysKeep);
+        let report = assert_serve_matches_sweep(&keep, &PackCodec, &[Val::A, Val::B], 150, 40);
+        assert_eq!(report.stats.undecided, 150);
+
+        // The value 15 lies past the dense value array; 0 lies inside it.
+        let k16 = KValued::new(TwoProcessor, 16);
+        let codec = KRegCodec::for_protocol(&k16);
+        let report =
+            assert_serve_matches_sweep(&k16, &codec, &[Val(0), Val(15)], 300, DEFAULT_MAX_STEPS);
+        assert!(report.decided_values.contains_key(&15));
+        assert!(report.decided_values.contains_key(&0));
     }
 
     #[test]

@@ -53,9 +53,11 @@ impl From<u64> for Val {
 }
 
 impl cil_registers::Packable for Val {
+    #[inline]
     fn pack(&self) -> u64 {
         self.0
     }
+    #[inline]
     fn unpack(word: u64) -> Self {
         Val(word)
     }
@@ -283,6 +285,17 @@ impl<T: Hash> Hash for Choice<T> {
 /// state, every successor state must report the same value (the paper's
 /// output register `o_P` is written once). The executor stops scheduling a
 /// processor once it has decided — the paper's "decide … and quit".
+///
+/// The built-in protocols mark `init`, `choose`, `transit` and `decision`
+/// (and the helpers those call on every step) `#[inline]`. The engines
+/// that run them (`cil-serve`'s arena, [`Runner`](crate::Runner)) are
+/// generic and compiled in the caller's crate, while a non-generic impl is
+/// compiled once, in its own crate. The workspace builds without LTO, and
+/// the benchmark builds as a package of its own, so without the attribute
+/// a release build calls each kernel out of line: a Fig. 1 step then pays
+/// two calls and returns its `Choice` through memory. With it the whole
+/// step compiles as one piece of code. A new protocol meant for the serve
+/// engine should do the same.
 pub trait Protocol {
     /// Internal state of one processor (the paper's `S_P`); must be
     /// hashable so model checkers can enumerate configurations and the

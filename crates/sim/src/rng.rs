@@ -74,6 +74,7 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Creates the generator from a seed.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
@@ -86,6 +87,7 @@ impl SplitMix64 {
     /// multiply-add away from the seed. This is what lets the parallel sweep
     /// hand any trial its own derived stream without replaying the trials
     /// before it.
+    #[inline]
     pub fn jump(seed: u64, n: u64) -> Self {
         SplitMix64 {
             state: seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
@@ -94,6 +96,7 @@ impl SplitMix64 {
 }
 
 impl Rng for SplitMix64 {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -112,6 +115,7 @@ pub struct Xoshiro256StarStar {
 impl Xoshiro256StarStar {
     /// Creates the generator from a 64-bit seed, expanding it with
     /// [`SplitMix64`] as the xoshiro authors recommend.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         let mut sm = SplitMix64::new(seed);
         let s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
@@ -151,6 +155,7 @@ impl Xoshiro256StarStar {
 }
 
 impl Rng for Xoshiro256StarStar {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;

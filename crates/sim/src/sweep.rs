@@ -245,6 +245,24 @@ impl SweepStats {
         }
     }
 
+    /// Folds in `n` trials that each decided cleanly, unflagged, with
+    /// `metric`: the stats end exactly as after `n` calls of
+    /// [`absorb`](Self::absorb) with such a result, and `n = 0` adds
+    /// nothing (no zero-count histogram entry). Engines that count their
+    /// common outcome in a dense array fold it in through this.
+    pub fn absorb_decided(&mut self, metric: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.trials += n;
+        self.decided += n;
+        let m = u128::from(metric);
+        self.metric_sum += m * u128::from(n);
+        self.metric_sq_sum += m * m * u128::from(n);
+        *self.metric_hist.entry(metric).or_insert(0) += n;
+        *self.decided_by_k.entry(metric).or_insert(0) += n;
+    }
+
     /// Merges another partial in; commutative and associative.
     pub fn merge(&mut self, other: SweepStats) {
         self.trials += other.trials;
@@ -850,5 +868,76 @@ mod tests {
         }
         assert_eq!(snapshots[0].to_json(), snapshots[1].to_json());
         assert_eq!(snapshots[0].to_json(), snapshots[2].to_json());
+    }
+
+    /// A trial result of every kind: `kind` 0 is a clean decision, 1 a
+    /// flagged one, 2 undecided, 3 inconsistent and 4 trivial.
+    fn result_of(metric: u64, kind: u8) -> TrialResult {
+        let outcome = match kind {
+            0 | 1 => TrialOutcome::Decided,
+            2 => TrialOutcome::Undecided,
+            3 => TrialOutcome::Inconsistent,
+            _ => TrialOutcome::Trivial,
+        };
+        TrialResult {
+            metric,
+            outcome,
+            flagged: kind == 1,
+            schedule: (kind >= 3).then(|| vec![0, 1]),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `absorb_decided(m, n)` leaves the stats exactly as `n` calls of
+        /// `absorb` with a clean decision at `m` do, `n = 0` included, when
+        /// mixed with every other kind of result and merged in any order.
+        #[test]
+        fn absorb_decided_equals_n_absorbs(
+            bulk in proptest::collection::vec((0u64..40, 0u64..5), 0..12),
+            others in proptest::collection::vec((0u64..40, 0u8..5), 0..30),
+            split in 0usize..64,
+            swap in proptest::prelude::any::<bool>(),
+        ) {
+            // Reference: every trial absorbed one by one, in index order.
+            let mut one_by_one = SweepStats::new(4);
+            let mut index = 0u64;
+            for &(metric, n) in &bulk {
+                for _ in 0..n {
+                    one_by_one.absorb(index, result_of(metric, 0));
+                    index += 1;
+                }
+            }
+            for &(metric, kind) in &others {
+                one_by_one.absorb(index, result_of(metric, kind));
+                index += 1;
+            }
+
+            // The same trials as two partials: one takes the bulk counts
+            // before its share of the others, the other takes the rest.
+            let split = split.min(others.len());
+            let mut bulk_part = SweepStats::new(4);
+            for &(metric, n) in &bulk {
+                bulk_part.absorb_decided(metric, n);
+            }
+            let first_other = bulk.iter().map(|&(_, n)| n).sum::<u64>();
+            for (i, &(metric, kind)) in others[..split].iter().enumerate() {
+                bulk_part.absorb(first_other + i as u64, result_of(metric, kind));
+            }
+            let mut rest = SweepStats::new(4);
+            for (i, &(metric, kind)) in others.iter().enumerate().skip(split) {
+                rest.absorb(first_other + i as u64, result_of(metric, kind));
+            }
+            let merged = if swap {
+                rest.merge(bulk_part);
+                rest
+            } else {
+                bulk_part.merge(rest);
+                bulk_part
+            };
+            proptest::prop_assert_eq!(&merged, &one_by_one);
+            proptest::prop_assert_eq!(merged.digest(), one_by_one.digest());
+        }
     }
 }

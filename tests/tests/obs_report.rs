@@ -225,3 +225,61 @@ fn timings_is_an_explicit_opt_in() {
     );
     std::fs::remove_file(&out).ok();
 }
+
+/// The `--timings` span tree of a parallel run nests: every `a/b` span's
+/// total is at most its parent's, and every parent's self time is its
+/// total minus its direct children's totals. Parallel sweeps book their
+/// root as worker time, so the trials nest under it at two workers too.
+#[test]
+fn parallel_timings_span_trees_nest() {
+    for (root, cmd) in [
+        (
+            "sweep",
+            "sweep --protocol fig2 --inputs a,b,a --trials 4000 --seed 3 --jobs 2",
+        ),
+        (
+            "stress",
+            "conc stress --protocol two --inputs a,b --trials 64 --seed 3 --jobs 2",
+        ),
+        ("serve", "serve two --instances 20000 --seed 3 --shards 2"),
+    ] {
+        let out = tmp(&format!("nest_{root}.json"));
+        dispatch(&format!("{cmd} --timings --metrics-out {}", out.display()))
+            .unwrap_or_else(|e| panic!("{root}: {e}"));
+        let snap = cil_obs::MetricsSnapshot::from_json(&read(&out))
+            .unwrap_or_else(|e| panic!("{root}: {e}"));
+        std::fs::remove_file(&out).ok();
+        let spans = &snap.spans;
+        let top = spans
+            .get(root)
+            .unwrap_or_else(|| panic!("{root}: no '{root}' span in {spans:?}"));
+        assert_eq!(top.count, 2, "{root}: the root counts one span per worker");
+        for (path, stat) in spans {
+            if let Some((parent, _)) = path.rsplit_once('/') {
+                let up = spans
+                    .get(parent)
+                    .unwrap_or_else(|| panic!("{root}: '{path}' has no parent span"));
+                assert!(
+                    stat.total_ns <= up.total_ns,
+                    "{root}: '{path}' total {} exceeds '{parent}' total {}",
+                    stat.total_ns,
+                    up.total_ns
+                );
+            }
+            let children: u64 = spans
+                .iter()
+                .filter(|(child, _)| {
+                    child
+                        .rsplit_once('/')
+                        .is_some_and(|(parent, _)| parent == path.as_str())
+                })
+                .map(|(_, s)| s.total_ns)
+                .sum();
+            assert_eq!(
+                stat.self_ns,
+                stat.total_ns - children,
+                "{root}: '{path}' self time is not its total minus its children's"
+            );
+        }
+    }
+}
