@@ -21,7 +21,7 @@ use cil_core::n_unbounded::NUnbounded;
 use cil_core::two::TwoProcessor;
 use cil_mc::{
     construct_infinite_schedule, CompactExplorer, CompactMdp, CompactOptions, LookaheadAdversary,
-    Objective, Symmetric,
+    Objective, Symmetric, Violation,
 };
 use cil_obs::json::{self, Value};
 use cil_obs::{
@@ -32,7 +32,7 @@ use cil_serve::{ServeEngine, ServeLimit, ServeReport};
 use cil_sim::{
     parse_schedule, run_on_threads_gated, Adversary, Alternator, BoxedAdversary, FixedSchedule,
     FreeGate, LaggardFirst, LeaderFirst, Protocol, RandomScheduler, Rng as _, RoundRobin, Runner,
-    SplitKeeper, SweepObserver, TrialOutcome, TrialResult, TrialSweep, Val, WordCodec,
+    SplitKeeper, SweepObserver, SweepStats, TrialOutcome, TrialResult, TrialSweep, Val, WordCodec,
 };
 use std::fmt::Write as _;
 
@@ -183,8 +183,9 @@ MUTANTS <M>: racy — the planted interleaving-sensitive consistency bug;
 EXIT CODES: 0 = success; 1 = verification failed (`cil audit` found model
       violations, `cil lint` found findings, `cil prove` refuted a property
       or rejected a certificate, `cil replay` found trace anomalies or
-      divergence — the report is printed on stdout); 2 = usage or I/O
-      error (stderr).
+      divergence, `cil check`, `cil sweep`, `cil serve` or `cil conc
+      stress`/`explore` found a consistency or nontriviality violation —
+      the report is printed on stdout); 2 = usage or I/O error (stderr).
 "
     .to_string()
 }
@@ -827,11 +828,62 @@ pub fn prove(args: &Args) -> Result<String, CliFailure> {
     with_spec!(spec, prove_check_one(&text))
 }
 
+/// The observer of a `sweep`, `serve` or `conc stress` run, with metrics
+/// under `<prefix>.*`, when `--progress` or `--metrics-out` asks for one.
+fn run_observer(
+    args: &Args,
+    registry: &Registry,
+    prefix: &str,
+    total: Option<u64>,
+    timings: bool,
+) -> Option<SweepObserver> {
+    let progress = args.flag("progress");
+    (progress || args.get("metrics-out").is_some()).then(|| {
+        let mut obs = SweepObserver::with_prefix(registry, prefix);
+        if progress {
+            obs = obs.with_progress(ProgressMeter::new(prefix, total));
+        }
+        if timings {
+            obs = obs.with_timing(registry, prefix);
+        }
+        obs
+    })
+}
+
+/// The trial counts, step statistics and safety line that `cil sweep` and
+/// `cil conc stress` report.
+fn write_trial_stats(s: &mut String, stats: &SweepStats) {
+    let _ = writeln!(
+        s,
+        "\ntrials: {}   decided: {}   undecided: {}   violations: {}",
+        stats.trials,
+        stats.decided,
+        stats.undecided,
+        stats.violations()
+    );
+    let _ = writeln!(
+        s,
+        "steps: mean {}   min {}   max {}",
+        stats.mean().map(fnum).unwrap_or_else(|| "—".into()),
+        stats.metric_min().unwrap_or(0),
+        stats.metric_max().unwrap_or(0)
+    );
+    if let (Some(lo), Some(hi)) = (
+        stats.decided_by_k.keys().next(),
+        stats.decided_by_k.keys().next_back(),
+    ) {
+        let _ = writeln!(s, "decided-by-k support: {lo}..={hi} steps");
+    }
+    if stats.failures.is_empty() {
+        let _ = writeln!(s, "\nno safety violations in {} trials ✓", stats.trials);
+    }
+}
+
 fn sweep_one<P: Protocol + Sync + 'static, C>(
     protocol: &P,
     _codec: &C,
     args: &Args,
-) -> Result<String, String> {
+) -> Result<String, CliFailure> {
     let inputs = inputs_for(protocol, args)?;
     let trials = args.get_u64("trials", 1_000)?;
     let root_seed = args.get_u64("seed", 0)?;
@@ -843,19 +895,9 @@ fn sweep_one<P: Protocol + Sync + 'static, C>(
     make_adversary::<P>(spec, 0, protocol.processes())?;
     let sweep = TrialSweep::new(trials).root_seed(root_seed).jobs(jobs);
     let effective = sweep.effective_jobs();
-    let metrics_out = args.get("metrics-out");
     let timings = timings_flag(args)?;
     let registry = Registry::new();
-    let observer = (args.flag("progress") || metrics_out.is_some()).then(|| {
-        let mut obs = SweepObserver::new(&registry);
-        if args.flag("progress") {
-            obs = obs.with_progress(ProgressMeter::new("sweep", Some(trials)));
-        }
-        if timings {
-            obs = obs.with_timing(&registry, "sweep");
-        }
-        obs
-    });
+    let observer = run_observer(args, &registry, "sweep", Some(trials), timings);
     let sweep_started = timings.then(std::time::Instant::now);
     let stats = sweep.run_observed(observer.as_ref(), |trial| {
         let adversary = make_adversary::<P>(spec, trial.seed, protocol.processes())
@@ -885,30 +927,8 @@ fn sweep_one<P: Protocol + Sync + 'static, C>(
         s,
         "adversary: {spec}   root seed: {root_seed}   jobs: {effective}"
     );
-    let _ = writeln!(
-        s,
-        "\ntrials: {}   decided: {}   undecided: {}   violations: {}",
-        stats.trials,
-        stats.decided,
-        stats.undecided,
-        stats.violations()
-    );
-    let _ = writeln!(
-        s,
-        "steps: mean {}   min {}   max {}",
-        stats.mean().map(fnum).unwrap_or_else(|| "—".into()),
-        stats.metric_min().unwrap_or(0),
-        stats.metric_max().unwrap_or(0)
-    );
-    if let (Some(lo), Some(hi)) = (
-        stats.decided_by_k.keys().next(),
-        stats.decided_by_k.keys().next_back(),
-    ) {
-        let _ = writeln!(s, "decided-by-k support: {lo}..={hi} steps");
-    }
-    if stats.failures.is_empty() {
-        let _ = writeln!(s, "\nno safety violations in {} trials ✓", stats.trials);
-    } else {
+    write_trial_stats(&mut s, &stats);
+    if !stats.failures.is_empty() {
         let _ = writeln!(s, "\nfailing trials (replay with `cil run ... --trace`):");
         for f in &stats.failures {
             let seed = cil_sim::SplitMix64::jump(root_seed, f.trial).next_u64();
@@ -923,16 +943,40 @@ fn sweep_one<P: Protocol + Sync + 'static, C>(
             );
         }
     }
-    Ok(s)
+    search_result(s, stats.violations())
 }
 
 /// `cil sweep` — parallel Monte-Carlo trial sweep; results are a pure
 /// function of `(--seed, --trials)`, independent of `--jobs`.
-pub fn sweep(args: &Args) -> Result<String, String> {
+pub fn sweep(args: &Args) -> Result<String, CliFailure> {
     with_spec!(protocol_arg(args)?, sweep_one(args))
 }
 
-fn check_one<P: Symmetric, C>(protocol: &P, _codec: &C, args: &Args) -> Result<String, String> {
+/// A search's report as its result: exit 1, with the report on stdout, if
+/// it found a safety violation.
+fn search_result(report: String, violations: u64) -> Result<String, CliFailure> {
+    match violations {
+        0 => Ok(report),
+        _ => Err(CliFailure::Audit(report)),
+    }
+}
+
+/// How many violations `cil check` lists before summing up the rest.
+const LISTED_VIOLATIONS: usize = 10;
+
+/// One line of `cil check`'s violation list: kind, values and depth.
+fn violation_line(violation: &Violation) -> String {
+    match violation {
+        Violation::Inconsistent { values, depth } => {
+            let vals: Vec<String> = values.iter().map(Val::to_string).collect();
+            format!("inconsistent: decided {} at depth {depth}", vals.join(", "))
+        }
+        Violation::Trivial { value, depth } => format!("trivial: decided {value} at depth {depth}"),
+        Violation::Invariant { message, depth } => format!("invariant: {message} at depth {depth}"),
+    }
+}
+
+fn check_one<P: Symmetric, C>(protocol: &P, _codec: &C, args: &Args) -> Result<String, CliFailure> {
     fits_active_mask(protocol)?;
     let inputs = inputs_for(protocol, args)?;
     let depth = args.get_u64("depth", 10)? as usize;
@@ -981,18 +1025,25 @@ fn check_one<P: Symmetric, C>(protocol: &P, _codec: &C, args: &Args) -> Result<S
     write_metrics_out(args, &registry)?;
     let mut s = format!(
         "exhaustive check of {} to depth {}\n{} configurations explored \
-         (complete: {})\nviolations: {}\n{}\n",
+         (complete: {})\nviolations: {}\n",
         protocol.name(),
         depth,
         report.explored,
         report.complete,
         report.violations.len(),
-        if report.safe() {
-            "consistency and nontriviality hold on every explored run ✓"
-        } else {
-            "VIOLATIONS FOUND — see above"
-        }
     );
+    for violation in report.violations.iter().take(LISTED_VIOLATIONS) {
+        let _ = writeln!(s, "  {}", violation_line(violation));
+    }
+    let unlisted = report.violations.len().saturating_sub(LISTED_VIOLATIONS);
+    if unlisted > 0 {
+        let _ = writeln!(s, "  … and {unlisted} more");
+    }
+    s.push_str(if report.safe() {
+        "consistency and nontriviality hold on every explored run ✓\n"
+    } else {
+        "VIOLATIONS FOUND — see above\n"
+    });
     let _ = writeln!(
         s,
         "symmetry-reduced: {} canonical classes ({} orbit hits; \
@@ -1017,11 +1068,11 @@ fn check_one<P: Symmetric, C>(protocol: &P, _codec: &C, args: &Args) -> Result<S
             );
         }
     }
-    Ok(s)
+    search_result(s, report.violations.len() as u64)
 }
 
 /// `cil check` — exhaustive bounded safety check.
-pub fn check(args: &Args) -> Result<String, String> {
+pub fn check(args: &Args) -> Result<String, CliFailure> {
     with_spec!(protocol_arg(args)?, check_one(args))
 }
 
@@ -1297,8 +1348,9 @@ pub fn threads(args: &Args) -> Result<String, String> {
 /// # Errors
 ///
 /// [`CliFailure::Audit`] (exit 1) when `conc replay` finds divergence or
-/// trace anomalies, or when `conc explore` finds a safety violation or a
-/// cross-check divergence; [`CliFailure::Usage`] (exit 2) otherwise.
+/// trace anomalies, when `conc stress` or `conc explore` finds a safety
+/// violation, or when `conc explore` finds a cross-check divergence;
+/// [`CliFailure::Usage`] (exit 2) otherwise.
 pub fn conc(args: &Args) -> Result<String, CliFailure> {
     let spec = || ProtocolSpec::from_args(conc_protocol_spec(args), args);
     match args.pos(0) {
@@ -1333,7 +1385,7 @@ fn serve_protocol_spec(args: &Args) -> &str {
 
 /// `cil serve` — run consensus instances to decision at scale over the
 /// hardware register backend and report throughput + latency percentiles.
-pub fn serve(args: &Args) -> Result<String, String> {
+pub fn serve(args: &Args) -> Result<String, CliFailure> {
     with_spec!(
         ProtocolSpec::from_args(serve_protocol_spec(args), args)?,
         serve_one(args)
@@ -1371,7 +1423,7 @@ fn serve_limit(args: &Args) -> Result<ServeLimit, String> {
     })
 }
 
-fn serve_one<P, C>(protocol: &P, codec: &C, args: &Args) -> Result<String, String>
+fn serve_one<P, C>(protocol: &P, codec: &C, args: &Args) -> Result<String, CliFailure>
 where
     P: Protocol + Sync,
     P::State: Send,
@@ -1391,29 +1443,20 @@ where
     let batch = args.get_u64("batch", cil_serve::DEFAULT_BATCH)?;
     let max_steps = args.get_u64("max-steps", cil_serve::DEFAULT_MAX_STEPS)?;
     if slots == 0 || batch == 0 {
-        return Err("--slots and --batch must be at least 1".into());
+        return Err(String::from("--slots and --batch must be at least 1").into());
     }
     if slots > MAX_SLOTS {
-        return Err(format!(
+        return Err(CliFailure::Usage(format!(
             "--slots takes at most {MAX_SLOTS} resident instances per shard, got {slots}"
-        ));
+        )));
     }
     let timings = timings_flag(args)?;
     let registry = Registry::new();
-    let observer = (args.flag("progress") || args.get("metrics-out").is_some()).then(|| {
-        let mut obs = SweepObserver::with_prefix(&registry, "serve");
-        if args.flag("progress") {
-            let total = match limit {
-                ServeLimit::Instances(n) => Some(n),
-                _ => None,
-            };
-            obs = obs.with_progress(ProgressMeter::new("serve", total));
-        }
-        if timings {
-            obs = obs.with_timing(&registry, "serve");
-        }
-        obs
-    });
+    let total = match limit {
+        ServeLimit::Instances(n) => Some(n),
+        _ => None,
+    };
+    let observer = run_observer(args, &registry, "serve", total, timings);
     let engine = ServeEngine::new(protocol, codec, &inputs, limit)
         .root_seed(root_seed)
         .shards(shards)
@@ -1486,7 +1529,7 @@ where
     if let Some(path) = out_path {
         let _ = writeln!(s, "\nwrote {path}");
     }
-    Ok(s)
+    search_result(s, report.stats.violations())
 }
 
 /// Serializes a [`ServeReport`] to the `BENCH_serve.json` schema the CI
@@ -1543,19 +1586,9 @@ where
 {
     let inputs = inputs_for(protocol, args)?;
     let cfg = conc_config(args)?;
-    let metrics_out = args.get("metrics-out");
     let timings = timings_flag(args)?;
     let registry = Registry::new();
-    let observer = (args.flag("progress") || metrics_out.is_some()).then(|| {
-        let mut obs = SweepObserver::with_prefix(&registry, "conc");
-        if args.flag("progress") {
-            obs = obs.with_progress(ProgressMeter::new("conc", Some(cfg.trials)));
-        }
-        if timings {
-            obs = obs.with_timing(&registry, "conc");
-        }
-        obs
-    });
+    let observer = run_observer(args, &registry, "conc", Some(cfg.trials), timings);
     let gate_timing = timings.then(|| GateTimingAgg::new(&registry, "conc.gate"));
     let stress_started = timings.then(std::time::Instant::now);
     let stats = stress_timed_with_codec(
@@ -1592,30 +1625,8 @@ where
         cfg.root_seed,
         cfg.budget
     );
-    let _ = writeln!(
-        s,
-        "\ntrials: {}   decided: {}   undecided: {}   violations: {}",
-        stats.trials,
-        stats.decided,
-        stats.undecided,
-        stats.violations()
-    );
-    let _ = writeln!(
-        s,
-        "steps: mean {}   min {}   max {}",
-        stats.mean().map(fnum).unwrap_or_else(|| "—".into()),
-        stats.metric_min().unwrap_or(0),
-        stats.metric_max().unwrap_or(0)
-    );
-    if let (Some(lo), Some(hi)) = (
-        stats.decided_by_k.keys().next(),
-        stats.decided_by_k.keys().next_back(),
-    ) {
-        let _ = writeln!(s, "decided-by-k support: {lo}..={hi} steps");
-    }
-    if stats.failures.is_empty() {
-        let _ = writeln!(s, "\nno safety violations in {} trials ✓", stats.trials);
-    } else {
+    write_trial_stats(&mut s, &stats);
+    if !stats.failures.is_empty() {
         let _ = writeln!(s, "\nfailing trials (shrink with `cil conc shrink ...`):");
         for f in &stats.failures {
             let _ = writeln!(
@@ -1652,7 +1663,7 @@ where
             outcome.events.len()
         );
     }
-    Ok(s)
+    search_result(s, stats.violations())
 }
 
 /// Serializes one captured trial as a conc JSONL capture: a meta record

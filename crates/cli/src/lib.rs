@@ -54,9 +54,9 @@ pub use args::{parse_inputs, Args};
 pub enum CliFailure {
     /// Usage, parse or I/O error — exit code 2, message on stderr.
     Usage(String),
-    /// A verification failed: `cil audit` found model violations, or
-    /// `cil replay` found trace anomalies / divergence — exit code 1, the
-    /// report on stdout.
+    /// A verification failed (`cil audit` found model violations, `cil
+    /// replay` trace anomalies or divergence) or a search found a safety
+    /// violation — exit code 1, the report on stdout.
     Audit(String),
 }
 
@@ -89,7 +89,8 @@ impl CliFailure {
 /// # Errors
 ///
 /// [`CliFailure::Usage`] for unknown commands or malformed options;
-/// [`CliFailure::Audit`] when an audit or replay verification fails.
+/// [`CliFailure::Audit`] when a verification fails or a search finds a
+/// violation.
 pub fn dispatch_full<I: IntoIterator<Item = String>>(tokens: I) -> Result<String, CliFailure> {
     let args = Args::parse(
         tokens,
@@ -116,15 +117,15 @@ pub fn dispatch_full<I: IntoIterator<Item = String>>(tokens: I) -> Result<String
         "replay" => commands::replay(&args),
         "audit" | "lint" => commands::audit(&args),
         "prove" => commands::prove(&args),
-        "sweep" => usage(commands::sweep(&args)),
-        "check" => usage(commands::check(&args)),
+        "sweep" => commands::sweep(&args),
+        "check" => commands::check(&args),
         "mdp" => usage(commands::mdp(&args)),
         "survival" => usage(commands::survival(&args)),
         "theorem4" => usage(commands::theorem4(&args)),
         "elect" => usage(commands::elect(&args)),
         "threads" => usage(commands::threads(&args)),
         "conc" => commands::conc(&args),
-        "serve" => usage(commands::serve(&args)),
+        "serve" => commands::serve(&args),
         "report" => commands::report(&args),
         "" | "help" | "--help" | "-h" => Ok(commands::help()),
         other => Err(CliFailure::Usage(format!(

@@ -12,14 +12,15 @@
 //! this is what makes a run a deterministic function of `(seed, strategy)`
 //! and lets a recorded schedule be replayed exactly.
 //!
-//! While serialized, each step appends its `cil-obs` events (grant, coins,
-//! step, decision) in the same order the simulator's `Runner` emits them,
-//! so the happens-before auditor consumes controlled native traces
-//! unchanged.
+//! While serialized, each step appends its grant and then the events its
+//! [`StepRecord`] renders (coins, step, decision) — the same rendering the
+//! simulator's `Runner` emits — so the happens-before auditor consumes
+//! controlled native traces unchanged.
 
 use crate::strategy::Strategy;
-use cil_obs::{CoinStage, OpKind, RunEvent};
+use cil_obs::{CoinStage, RunEvent};
 use cil_sim::{StepRecord, ThreadGate};
+use std::fmt;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -237,9 +238,9 @@ impl Coordinator {
 }
 
 impl ThreadGate for Coordinator {
-    fn coin_branch(&self, pid: usize, transit: bool, branches: usize) -> Option<usize> {
+    fn coin_branch(&self, pid: usize, stage: CoinStage, branches: usize) -> Option<usize> {
         let mut st = self.lock();
-        st.strategy.coin(pid, transit, branches)
+        st.strategy.coin(pid, stage == CoinStage::Transit, branches)
     }
 
     fn acquire(&self, pid: usize) -> bool {
@@ -267,48 +268,15 @@ impl ThreadGate for Coordinator {
         }
     }
 
-    fn release(&self, record: StepRecord<'_>) {
+    fn release<R: fmt::Debug>(&self, record: &StepRecord<R>) {
         let mut st = self.lock();
         debug_assert_eq!(st.status[record.pid], Status::Granted);
         st.status[record.pid] = Status::Running;
-        st.strategy.observe(record.pid, record.reg.0, record.write);
+        st.strategy
+            .observe(record.pid, record.op.reg().0, record.op.is_write());
         let index = st.step;
         if let Some(events) = st.events.as_mut() {
-            let pid = record.pid;
-            if let Some(branches) = record.choose_branches {
-                events.push(RunEvent::CoinFlip {
-                    index,
-                    pid,
-                    stage: CoinStage::Choose,
-                    branches,
-                });
-            }
-            if let Some(branches) = record.transit_branches {
-                events.push(RunEvent::CoinFlip {
-                    index,
-                    pid,
-                    stage: CoinStage::Transit,
-                    branches,
-                });
-            }
-            events.push(RunEvent::Step {
-                index,
-                pid,
-                op: if record.write {
-                    OpKind::Write
-                } else {
-                    OpKind::Read
-                },
-                reg: record.reg.0,
-                value: format!("{:?}", record.value),
-            });
-            if let Some(v) = record.decision {
-                events.push(RunEvent::Decision {
-                    index,
-                    pid,
-                    value: v.0,
-                });
-            }
+            record.events(index, |e| events.push(e));
         }
         st.schedule.push(record.pid);
         st.step += 1;

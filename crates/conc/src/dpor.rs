@@ -41,7 +41,7 @@ use crate::coordinator::ConcHalt;
 use crate::indep::{stays_asleep, Access, AccessSet, StaticIndep};
 use crate::run::{ConcOutcome, ControlledRun};
 use crate::strategy::Strategy;
-use crate::stress::{classify, GateTimingAgg};
+use crate::stress::GateTimingAgg;
 use cil_mc::Config;
 use cil_obs::metrics::{LogHistogram, Registry};
 use cil_registers::{Packable, RegId};
@@ -475,15 +475,14 @@ impl Tally {
             },
         }
         self.digest ^= exec_hash(outcome, trace);
-        let violating = matches!(
-            classify(outcome).outcome,
-            TrialOutcome::Inconsistent | TrialOutcome::Trivial
-        );
+        // Whether the run stopped short does not matter to a violation.
+        let kind = outcome.verdict().outcome(false);
+        let violating = matches!(kind, TrialOutcome::Inconsistent | TrialOutcome::Trivial);
         if violating {
             self.violations += 1;
             if self.samples.len() < sample_cap {
                 self.samples.push(DporViolation {
-                    kind: classify(outcome).outcome,
+                    kind,
                     schedule: outcome.schedule.clone(),
                     decisions: outcome.decisions.clone(),
                     total_steps: outcome.total_steps,

@@ -4,7 +4,7 @@ use crate::coordinator::{ConcHalt, Coordinator, ThreadTimes};
 use crate::strategy::Strategy;
 use cil_obs::RunEvent;
 use cil_registers::Packable;
-use cil_sim::{run_on_threads_gated, PackCodec, Protocol, Val, WordCodec};
+use cil_sim::{run_on_threads_gated, PackCodec, Protocol, Val, Verdict, WordCodec};
 
 /// Builder for a controlled native run of one protocol.
 ///
@@ -105,7 +105,7 @@ where
         }
         (
             ConcOutcome {
-                inputs: self.inputs.to_vec(),
+                inputs: out.inputs,
                 decisions: out.decisions,
                 steps: out.steps,
                 flips: out.flips,
@@ -157,38 +157,26 @@ pub struct ConcOutcome {
 }
 
 impl ConcOutcome {
+    /// The [`Verdict`] on the run's decisions.
+    pub fn verdict(&self) -> Verdict {
+        Verdict::judge(self.decisions.iter().copied(), &self.inputs, &self.steps)
+    }
+
     /// The common decided value, if every processor decided on one value.
     pub fn agreement(&self) -> Option<Val> {
-        let first = self.decisions.first().copied().flatten()?;
-        self.decisions
-            .iter()
-            .all(|d| *d == Some(first))
-            .then_some(first)
+        self.verdict().unanimous()
     }
 
     /// Paper requirement 1 (consistency): no two processors decided
     /// different values. Vacuously true while undecided.
     pub fn consistent(&self) -> bool {
-        let mut seen: Option<Val> = None;
-        for d in self.decisions.iter().flatten() {
-            match seen {
-                None => seen = Some(*d),
-                Some(v) if v != *d => return false,
-                Some(_) => {}
-            }
-        }
-        true
+        self.verdict().consistent
     }
 
     /// Paper requirement 2 (nontriviality): every decided value is the
     /// input of some processor that took at least one step.
     pub fn nontrivial(&self) -> bool {
-        self.decisions.iter().flatten().all(|d| {
-            self.inputs
-                .iter()
-                .zip(&self.steps)
-                .any(|(input, &steps)| input == d && steps > 0)
-        })
+        self.verdict().nontrivial
     }
 
     /// Whether every processor decided.

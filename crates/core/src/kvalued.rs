@@ -214,6 +214,7 @@ impl<P: Protocol> Protocol for KValued<P> {
         specs
     }
 
+    #[inline]
     fn init(&self, _pid: usize, input: Val) -> Self::State {
         assert!(input.0 < self.k, "input {input} outside 0..{}", self.k);
         KState {
@@ -224,6 +225,7 @@ impl<P: Protocol> Protocol for KValued<P> {
         }
     }
 
+    #[inline]
     fn choose(&self, pid: usize, state: &Self::State) -> Choice<Op<Self::Reg>> {
         match &state.phase {
             KPhase::PublishInit | KPhase::Republish => {
@@ -241,6 +243,7 @@ impl<P: Protocol> Protocol for KValued<P> {
         }
     }
 
+    #[inline]
     fn transit(
         &self,
         pid: usize,
@@ -309,6 +312,7 @@ impl<P: Protocol> Protocol for KValued<P> {
         }
     }
 
+    #[inline]
     fn decision(&self, state: &Self::State) -> Option<Val> {
         match state.phase {
             KPhase::Done(v) => Some(v),

@@ -350,7 +350,9 @@ impl Protocol for NUnbounded {
         }
     }
 
-    #[inline]
+    // Forced: at a plain `#[inline]` LLVM keeps this one out of line in
+    // `Runner::run`'s loop, which calls it through the step kernel.
+    #[inline(always)]
     fn transit(
         &self,
         _pid: usize,

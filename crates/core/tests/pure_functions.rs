@@ -17,7 +17,7 @@ fn check_visited_states<P: Protocol>(
     seed: u64,
     check: impl Fn(usize, &P::State),
 ) {
-    use cil_registers::{Pid, SharedMemory};
+    use cil_registers::SharedMemory;
     use cil_sim::Rng as _;
     let mut memory = SharedMemory::new(protocol.registers()).unwrap();
     let mut rng = Xoshiro256StarStar::new(seed);
@@ -36,18 +36,14 @@ fn check_visited_states<P: Protocol>(
         }
         let pid = eligible[sched.below(eligible.len() as u64) as usize];
         check(pid, &states[pid]);
-        let op = protocol.choose(pid, &states[pid]).sample(&mut rng).clone();
-        let read = match &op {
-            Op::Read(r) => Some(memory.read(Pid(pid), *r).unwrap().clone()),
-            Op::Write(r, v) => {
-                memory.write(Pid(pid), *r, v.clone()).unwrap();
-                None
-            }
-        };
-        states[pid] = protocol
-            .transit(pid, &states[pid], &op, read.as_ref())
-            .sample(&mut rng)
-            .clone();
+        cil_sim::step(
+            protocol,
+            pid,
+            &mut states[pid],
+            &mut memory,
+            &mut rng,
+            |_, _| None,
+        );
     }
 }
 

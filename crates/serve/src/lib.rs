@@ -14,10 +14,10 @@
 //! * [`InstanceSlot`] — one resident consensus instance: a reusable
 //!   [`HwRegisterFile`] frame (reset between instances, never reallocated),
 //!   per-processor states, a per-instance deterministic RNG stream and a
-//!   round-robin scheduler cursor. Stepping a slot replicates the
-//!   `cil_sim::Runner` loop exactly (same stop-condition order, same
-//!   round-robin pick, same RNG draw sequence), so a slot's classification
-//!   is bit-identical to `Runner::new(p, inputs, RoundRobin::new())`.
+//!   round-robin scheduler cursor. A slot runs `cil_sim::Runner`'s loop on
+//!   the same `cil_sim::step` kernel and `cil_sim::Verdict`, so a slot's
+//!   classification is bit-identical to
+//!   `Runner::new(p, inputs, RoundRobin::new())`.
 //! * [`ServeEngine`] — shards × arena-slots orchestration. Shards claim
 //!   chunks of instance indices from an atomic cursor and sweep their arena
 //!   round-robin, stepping each resident instance a batch of steps before
@@ -76,10 +76,10 @@
 #![warn(missing_docs)]
 
 use cil_obs::{LogHistogram, LogHistogramSnapshot, Registry};
-use cil_registers::{HwRegisterFile, Pid};
+use cil_registers::HwRegisterFile;
 use cil_sim::sweep::{SweepObserver, SweepStats, Trial, TrialOutcome, TrialResult};
 use cil_sim::threads::WordCodec;
-use cil_sim::{resolve_jobs, Op, Protocol, Rng, SplitMix64, Val, Xoshiro256StarStar};
+use cil_sim::{resolve_jobs, step, Protocol, Rng, SplitMix64, Val, Verdict, Xoshiro256StarStar};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -137,11 +137,11 @@ pub enum ServeLimit {
 /// One arena slot: a resident consensus instance over a reusable hardware
 /// register frame.
 ///
-/// The slot replicates the `cil_sim::Runner` execution loop for the
-/// no-crash, round-robin, stop-on-all-decided configuration: identical
-/// stop-condition order, identical scheduler cursor behavior, identical RNG
-/// draw sequence. Register traffic goes through real `AtomicU64` cells via
-/// the caller's [`WordCodec`] instead of the simulator's `SharedMemory`.
+/// The slot runs the `cil_sim::Runner` execution loop for the no-crash,
+/// round-robin, stop-on-all-decided configuration: identical stop-condition
+/// order and scheduler cursor, and the same [`step`] kernel. Register
+/// traffic goes through real `AtomicU64` cells via the caller's
+/// [`WordCodec`] instead of the simulator's `SharedMemory`.
 ///
 /// After the first [`begin`](InstanceSlot::begin), re-arming a slot touches
 /// no heap: the register file is [`reset`](HwRegisterFile::reset), the state
@@ -263,8 +263,8 @@ impl<'a, P: Protocol, C: WordCodec<P::Reg>> InstanceSlot<'a, P, C> {
         None
     }
 
-    /// One `Runner`-equivalent step (stop checks, round-robin pick, choose /
-    /// apply / transit). Allocation-free for protocols whose states and
+    /// One `Runner`-equivalent step (stop checks, round-robin pick, the
+    /// [`step`] kernel). Allocation-free for protocols whose states and
     /// choices are inline (all the paper's protocols after the `PhaseScan`
     /// and `Choice` refactors).
     fn step(&mut self) -> Option<InstanceOutcome> {
@@ -292,33 +292,17 @@ impl<'a, P: Protocol, C: WordCodec<P::Reg>> InstanceSlot<'a, P, C> {
         }
         debug_assert_ne!(pid, usize::MAX, "undecided > 0 guarantees a pick");
 
-        // One step: sample op, apply to the hardware frame, sample
-        // transition — mirroring Runner::run.
-        let choice = self.protocol.choose(pid, &self.states[pid]);
-        let op = choice.sample(&mut self.rng).clone();
-        let read_value = match &op {
-            Op::Read(r) => {
-                let word = self
-                    .file
-                    .read_word(Pid(pid), *r)
-                    .expect("protocol read within its reader set");
-                Some(self.codec.unpack(*r, word))
-            }
-            Op::Write(r, v) => {
-                self.file
-                    .write_word(Pid(pid), *r, self.codec.pack(*r, v))
-                    .expect("protocol write to its own register");
-                None
-            }
-        };
-        let transition = self
-            .protocol
-            .transit(pid, &self.states[pid], &op, read_value.as_ref());
-        let next = transition.sample(&mut self.rng).clone();
-        if self.protocol.decision(&next).is_some() {
+        let record = step(
+            self.protocol,
+            pid,
+            &mut self.states[pid],
+            &mut (&self.file, self.codec),
+            &mut self.rng,
+            |_, _| None,
+        );
+        if record.decision.is_some() {
             self.undecided -= 1;
         }
-        self.states[pid] = next;
         self.steps[pid] += 1;
         self.total += 1;
         None
@@ -331,40 +315,9 @@ impl<'a, P: Protocol, C: WordCodec<P::Reg>> InstanceSlot<'a, P, C> {
         let latency_ns = self.started.map_or(0, |started| {
             u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
         });
-
-        // agreement() / consistent(): fold over decided values.
-        let mut agreed = None;
-        let mut consistent = true;
-        for s in &self.states {
-            if let Some(v) = self.protocol.decision(s) {
-                match agreed {
-                    None => agreed = Some(v),
-                    Some(w) if w != v => {
-                        consistent = false;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // nontrivial(): every decision is the input of an activated pid.
-        let nontrivial = self.states.iter().all(|s| match self.protocol.decision(s) {
-            None => true,
-            Some(d) => self
-                .inputs
-                .iter()
-                .zip(&self.steps)
-                .any(|(input, &steps)| steps > 0 && *input == d),
-        });
-        let outcome = if !consistent {
-            TrialOutcome::Inconsistent
-        } else if !nontrivial {
-            TrialOutcome::Trivial
-        } else if budget_expired {
-            TrialOutcome::Undecided
-        } else {
-            TrialOutcome::Decided
-        };
+        let decisions = self.states.iter().map(|s| self.protocol.decision(s));
+        let verdict = Verdict::judge(decisions, self.inputs, &self.steps);
+        let outcome = verdict.outcome(budget_expired);
         InstanceOutcome {
             index: self.index,
             result: TrialResult {
@@ -373,9 +326,7 @@ impl<'a, P: Protocol, C: WordCodec<P::Reg>> InstanceSlot<'a, P, C> {
                 flagged: false,
                 schedule: None,
             },
-            value: (outcome == TrialOutcome::Decided)
-                .then_some(agreed)
-                .flatten(),
+            value: verdict.agreed.filter(|_| outcome == TrialOutcome::Decided),
             latency_ns,
         }
     }

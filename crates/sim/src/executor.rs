@@ -1,25 +1,24 @@
 //! The run executor: protocol × adversary × inputs × seed → outcome.
 //!
 //! [`Runner`] executes the paper's step semantics exactly: the adversary
-//! picks an eligible processor from its omniscient [`View`]; the processor's
-//! next operation is sampled from `choose` (coin flips are invisible to the
-//! adversary until taken), applied atomically to the [`SharedMemory`], and
-//! the state transition sampled from `transit`. A processor that reaches a
+//! picks an eligible processor from its omniscient [`View`], and the
+//! processor takes one [`step`] over the [`SharedMemory`] (coin flips are
+//! invisible to the adversary until taken). A processor that reaches a
 //! decision state "quits" — it is never scheduled again, matching the
 //! paper's protocols which all end with "decide … and quit".
 //!
-//! The executor also enforces, at run time, the two safety clauses of the
-//! coordination problem on the outcome ([`RunOutcome::agreement`],
-//! [`RunOutcome::nontrivial`]), and supports fail-stop fault injection via
-//! [`CrashPlan`].
+//! The outcome judges the two safety clauses of the coordination problem
+//! ([`RunOutcome::verdict`]), and the runner supports fail-stop fault
+//! injection via [`CrashPlan`].
 
 use crate::adversary::{Adversary, View};
 use crate::faults::CrashPlan;
-use crate::protocol::{Choice, Op, Protocol, Val};
+use crate::kernel::{step, Verdict};
+use crate::protocol::{Protocol, Val};
 use crate::rng::Xoshiro256StarStar;
 use crate::trace::{Event, Trace};
-use cil_obs::{CoinStage, EventSink, OpKind, RunEvent};
-use cil_registers::{Pid, SharedMemory};
+use cil_obs::{EventSink, RunEvent};
+use cil_registers::SharedMemory;
 
 /// When the run loop halts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,44 +64,28 @@ pub struct RunOutcome<P: Protocol> {
 }
 
 impl<P: Protocol> RunOutcome<P> {
+    /// The [`Verdict`] on the run's decisions.
+    pub fn verdict(&self) -> Verdict {
+        Verdict::judge(self.decisions.iter().copied(), &self.inputs, &self.steps)
+    }
+
     /// The agreed value, if all decided processors agree (and at least one
     /// decided). `None` means no decisions at all **or** disagreement; use
     /// [`RunOutcome::consistent`] to distinguish.
     pub fn agreement(&self) -> Option<Val> {
-        let mut agreed = None;
-        for d in self.decisions.iter().flatten() {
-            match agreed {
-                None => agreed = Some(*d),
-                Some(v) if v != *d => return None,
-                _ => {}
-            }
-        }
-        agreed
+        self.verdict().agreed
     }
 
     /// Consistency (paper requirement 1): no two processors decided
     /// different values.
     pub fn consistent(&self) -> bool {
-        let mut first = None;
-        for d in self.decisions.iter().flatten() {
-            match first {
-                None => first = Some(*d),
-                Some(v) if v != *d => return false,
-                _ => {}
-            }
-        }
-        true
+        self.verdict().consistent
     }
 
     /// Nontriviality (paper requirement 2): every decision value is the
     /// input of some processor that was activated in the run.
     pub fn nontrivial(&self) -> bool {
-        self.decisions.iter().flatten().all(|d| {
-            self.inputs
-                .iter()
-                .zip(&self.steps)
-                .any(|(input, &steps)| steps > 0 && input == d)
-        })
+        self.verdict().nontrivial
     }
 
     /// Whether every non-crashed processor decided.
@@ -234,14 +217,19 @@ impl<'p, P: Protocol, A: Adversary<P>> Runner<'p, P, A> {
             });
         }
         let halt;
+        // Crashes not yet delivered: the plan is consulted only while some
+        // remain, so a run without crashes never calls into it.
+        let mut crashes_left = self.crash_plan.len();
 
         loop {
-            // Fault injection due at this time.
-            for pid in self.crash_plan.due(total) {
-                if !crashed[pid] && protocol.decision(&states[pid]).is_none() {
-                    live -= 1;
+            if crashes_left > 0 {
+                for pid in self.crash_plan.due(total) {
+                    crashes_left -= 1;
+                    if !crashed[pid] && protocol.decision(&states[pid]).is_none() {
+                        live -= 1;
+                    }
+                    crashed[pid] = true;
                 }
-                crashed[pid] = true;
             }
             // Stop conditions.
             let stop_met = match self.stop {
@@ -282,51 +270,29 @@ impl<'p, P: Protocol, A: Adversary<P>> Runner<'p, P, A> {
                 "adversary picked ineligible processor P{pid}"
             );
 
-            // One step: sample op, apply, sample transition.
-            let choice = protocol.choose(pid, &states[pid]);
-            emit_coin(&mut sink, &choice, total, pid, CoinStage::Choose);
-            let op = choice.sample(&mut rng).clone();
-            let read_value = match &op {
-                Op::Read(r) => Some(
-                    memory
-                        .read(Pid(pid), *r)
-                        .expect("protocol read within its reader set")
-                        .clone(),
-                ),
-                Op::Write(r, v) => {
-                    memory
-                        .write(Pid(pid), *r, v.clone())
-                        .expect("protocol write to its own register");
-                    None
-                }
-            };
-            let transition = protocol.transit(pid, &states[pid], &op, read_value.as_ref());
-            emit_coin(&mut sink, &transition, total, pid, CoinStage::Transit);
-            let next = transition.sample(&mut rng).clone();
-            states[pid] = next;
+            let record = step(
+                protocol,
+                pid,
+                &mut states[pid],
+                &mut memory,
+                &mut rng,
+                |_, _| None,
+            );
             steps[pid] += 1;
             total += 1;
-            let decision = protocol.decision(&states[pid]);
-            if decision.is_some() {
+            if record.decision.is_some() {
                 live -= 1;
                 decided += 1;
             }
             if let Some(s) = sink.as_deref_mut() {
-                s.emit(&step_event(total - 1, pid, &op, read_value.as_ref()));
-                if let Some(v) = decision {
-                    s.emit(&RunEvent::Decision {
-                        index: total - 1,
-                        pid,
-                        value: v.0,
-                    });
-                }
+                record.events(total - 1, |e| s.emit(&e));
             }
             if let Some(t) = &mut trace {
                 t.push(Event {
                     index: total - 1,
                     pid,
-                    op,
-                    read: read_value,
+                    op: record.op,
+                    read: record.read,
                 });
             }
         }
@@ -353,59 +319,11 @@ impl<'p, P: Protocol, A: Adversary<P>> Runner<'p, P, A> {
     }
 }
 
-/// Renders one executed step as a structured event. The value field is the
-/// written value for writes and the value read for reads, in the register
-/// type's `Debug` form — the same rendering every time, so captured streams
-/// are byte-for-byte reproducible.
-fn step_event<R: std::fmt::Debug>(
-    index: u64,
-    pid: usize,
-    op: &Op<R>,
-    read: Option<&R>,
-) -> RunEvent {
-    match op {
-        Op::Read(r) => RunEvent::Step {
-            index,
-            pid,
-            op: OpKind::Read,
-            reg: r.0,
-            value: read.map_or_else(|| "?".to_string(), |v| format!("{v:?}")),
-        },
-        Op::Write(r, v) => RunEvent::Step {
-            index,
-            pid,
-            op: OpKind::Write,
-            reg: r.0,
-            value: format!("{v:?}"),
-        },
-    }
-}
-
-/// Emits a coin-flip event if the choice is probabilistic.
-fn emit_coin<T>(
-    sink: &mut Option<&mut dyn EventSink>,
-    choice: &Choice<T>,
-    index: u64,
-    pid: usize,
-    stage: CoinStage,
-) {
-    if let Some(s) = sink.as_deref_mut() {
-        if !choice.is_det() {
-            s.emit(&RunEvent::CoinFlip {
-                index,
-                pid,
-                stage,
-                branches: choice.branches().len(),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::{RandomScheduler, RoundRobin, Solo};
-    use crate::protocol::Choice;
+    use crate::protocol::{Choice, Op};
     use cil_registers::{ReaderSet, RegId, RegisterSpec};
 
     /// A toy protocol: each processor writes its input to its register,

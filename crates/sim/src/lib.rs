@@ -13,6 +13,8 @@
 //! * [`rng`] — deterministic, version-pinned randomness;
 //! * [`adversary`] — the scheduler suite, from round-robin to adaptive
 //!   heuristics;
+//! * [`kernel`] — the paper's one [`step`] over a pluggable [`Memory`] and
+//!   the [`Verdict`] on a run's decisions, which every engine below shares;
 //! * [`executor`] — the serialized run loop ([`Runner`]) with crash
 //!   injection ([`faults`]) and trace recording ([`trace`]);
 //! * [`sweep`] — the parallel Monte-Carlo harness ([`TrialSweep`]), whose
@@ -60,6 +62,7 @@ pub mod adversary;
 pub mod executor;
 pub mod fairness;
 pub mod faults;
+pub mod kernel;
 pub mod protocol;
 pub mod rng;
 pub mod sweep;
@@ -73,6 +76,7 @@ pub use adversary::{
 pub use executor::{Halt, RunOutcome, Runner, StopWhen};
 pub use fairness::{is_k_fair, starvation_gaps, Alternator, PrefixThen};
 pub use faults::CrashPlan;
+pub use kernel::{step, Memory, StepRecord, Verdict};
 pub use protocol::{Choice, Op, Protocol, Val};
 pub use rng::{Rng, ScriptedCoins, SplitMix64, Xoshiro256StarStar};
 pub use sweep::{
@@ -80,7 +84,6 @@ pub use sweep::{
     TrialSweep,
 };
 pub use threads::{
-    run_on_threads, run_on_threads_gated, FreeGate, PackCodec, StepRecord, ThreadGate,
-    ThreadOutcome, WordCodec,
+    run_on_threads, run_on_threads_gated, FreeGate, PackCodec, ThreadGate, ThreadOutcome, WordCodec,
 };
 pub use trace::{parse_schedule, Event, Trace};

@@ -272,7 +272,7 @@ impl<T: Hash> Hash for Choice<T> {
 /// A coordination protocol: `n` replicated probabilistic automata over a set
 /// of shared single-writer registers.
 ///
-/// One *step* of processor `pid` is executed as:
+/// One *step* of processor `pid` is executed as (by [`step`](crate::step)):
 ///
 /// 1. `choose(pid, state)` — sample/enumerate the operation the step
 ///    performs (the coin may decide what gets written, as in Fig. 1's
@@ -289,8 +289,9 @@ impl<T: Hash> Hash for Choice<T> {
 /// The built-in protocols mark `init`, `choose`, `transit` and `decision`
 /// (and the helpers those call on every step) `#[inline]`. The engines
 /// that run them (`cil-serve`'s arena, [`Runner`](crate::Runner)) are
-/// generic and compiled in the caller's crate, while a non-generic impl is
-/// compiled once, in its own crate. The workspace builds without LTO, and
+/// generic and compiled, with the `#[inline]` kernel [`step`](crate::step),
+/// in the caller's crate, while a non-generic impl is compiled once, in its
+/// own crate. The workspace builds without LTO, and
 /// the benchmark builds as a package of its own, so without the attribute
 /// a release build calls each kernel out of line: a Fig. 1 step then pays
 /// two calls and returns its `Choice` through memory. With it the whole

@@ -24,8 +24,10 @@
 //! thread can be blocked by another — every thread either decides, exhausts
 //! its own step budget, or is retired by its gate.
 
-use crate::protocol::{Op, Protocol, Val};
+use crate::kernel::{step, StepRecord, Verdict};
+use crate::protocol::{Protocol, Val};
 use crate::rng::{Rng, Xoshiro256StarStar};
+use cil_obs::CoinStage;
 use cil_registers::{HwRegisterFile, Packable, Pid, RegId};
 use std::fmt;
 
@@ -55,37 +57,14 @@ impl<R: Packable> WordCodec<R> for PackCodec {
     }
 }
 
-/// Everything a scheduler needs to know about one completed step, handed to
-/// [`ThreadGate::release`] while the step is still exclusive.
-///
-/// `value` is the step's observable value — the value read for reads, the
-/// value written for writes — borrowed as `dyn Debug` so gates that do not
-/// record traces pay nothing for formatting.
-pub struct StepRecord<'a> {
-    /// Processor that took the step.
-    pub pid: usize,
-    /// Whether the operation was a write (`false` = read).
-    pub write: bool,
-    /// The register operated on.
-    pub reg: RegId,
-    /// The observable value (read result or written value).
-    pub value: &'a dyn fmt::Debug,
-    /// Branch count of the choose-stage coin, if one was flipped.
-    pub choose_branches: Option<usize>,
-    /// Branch count of the transit-stage coin, if one was flipped.
-    pub transit_branches: Option<usize>,
-    /// The processor's decision immediately after the step, if any.
-    pub decision: Option<Val>,
-}
-
 /// A yield point wrapped around every register operation of every thread.
 ///
 /// The contract: a thread calls [`acquire`](ThreadGate::acquire) before
 /// sampling its choose coin and touching memory, performs exactly one
 /// register operation plus its transition, then calls
-/// [`release`](ThreadGate::release) with the step's record. When the thread
-/// will take no further steps (decided, exhausted its budget, or denied by
-/// the gate) it calls [`retire`](ThreadGate::retire) exactly once.
+/// [`release`](ThreadGate::release) with the step's [`StepRecord`]. When
+/// the thread will take no further steps (decided, exhausted its budget, or
+/// denied by the gate) it calls [`retire`](ThreadGate::retire) exactly once.
 pub trait ThreadGate: Sync {
     /// Blocks until the thread may take its next step. Returning `false`
     /// denies the step: the thread must stop and retire.
@@ -93,22 +72,21 @@ pub trait ThreadGate: Sync {
         let _ = pid;
         true
     }
-    /// Forces the outcome of a probabilistic branch with `branches` weighted
-    /// alternatives (`transit` distinguishes the transit-stage coin from the
-    /// choose-stage coin). Called between `acquire` and `release`, while the
-    /// step is exclusive. Returning `Some(i)` makes the thread take branch
-    /// `i` of [`crate::Choice::branches`]; `None` (the default) samples from
-    /// the thread's own deterministic RNG stream — the historical behavior.
+    /// Forces the outcome of the `stage` coin, a probabilistic branch with
+    /// `branches` weighted alternatives. Called between `acquire` and
+    /// `release`, while the step is exclusive. Returning `Some(i)` makes the
+    /// thread take branch `i` of [`crate::Choice::branches`]; `None` (the
+    /// default) samples from the thread's own deterministic RNG stream.
     ///
     /// This is the hook that lets a systematic explorer (`cil-conc`'s DPOR
     /// module) turn every coin flip into an explicit, enumerable branch of
     /// the schedule tree instead of a sampled one.
-    fn coin_branch(&self, pid: usize, transit: bool, branches: usize) -> Option<usize> {
-        let _ = (pid, transit, branches);
+    fn coin_branch(&self, pid: usize, stage: CoinStage, branches: usize) -> Option<usize> {
+        let _ = (pid, stage, branches);
         None
     }
     /// Reports the step just taken, before any other thread may be granted.
-    fn release(&self, record: StepRecord<'_>) {
+    fn release<R: fmt::Debug>(&self, record: &StepRecord<R>) {
         let _ = record;
     }
     /// Reports that the thread will take no further steps.
@@ -141,6 +119,8 @@ impl<G: ThreadGate> Drop for RetireGuard<'_, G> {
 /// Outcome of a real-thread run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadOutcome {
+    /// The inputs the run started from.
+    pub inputs: Vec<Val>,
     /// Decision of each processor (`None` = step budget exhausted or
     /// retired by the gate while undecided).
     pub decisions: Vec<Option<Val>>,
@@ -160,11 +140,7 @@ pub struct ThreadOutcome {
 impl ThreadOutcome {
     /// Whether all threads decided on a single common value.
     pub fn agreed(&self) -> Option<Val> {
-        let first = self.decisions.first().copied().flatten()?;
-        self.decisions
-            .iter()
-            .all(|d| *d == Some(first))
-            .then_some(first)
+        Verdict::judge(self.decisions.iter().copied(), &self.inputs, &self.steps).unanimous()
     }
 }
 
@@ -219,6 +195,7 @@ where
                 scope.spawn(move || {
                     let _retire = RetireGuard { gate, pid };
                     let mut rng = Xoshiro256StarStar::new(thread_seed);
+                    let mut memory = (file, codec);
                     let mut state = protocol.init(pid, input);
                     let mut taken = 0u64;
                     let mut flipped = 0u64;
@@ -226,64 +203,18 @@ where
                         if !gate.acquire(pid) {
                             break;
                         }
-                        let choice = protocol.choose(pid, &state);
-                        let choose_branches = (!choice.is_det()).then(|| choice.branches().len());
-                        let op =
-                            match choose_branches.and_then(|b| gate.coin_branch(pid, false, b)) {
-                                Some(i) => {
-                                    &choice
-                                        .branches()
-                                        .get(i)
-                                        .expect("forced choose branch within range")
-                                        .1
-                                }
-                                None => choice.sample(&mut rng),
-                            }
-                            .clone();
-                        let read = match &op {
-                            Op::Read(r) => {
-                                let word =
-                                    file.read_word(Pid(pid), *r).expect("read in reader set");
-                                Some(codec.unpack(*r, word))
-                            }
-                            Op::Write(r, v) => {
-                                file.write_word(Pid(pid), *r, codec.pack(*r, v))
-                                    .expect("write own register within declared width");
-                                None
-                            }
-                        };
-                        let transition = protocol.transit(pid, &state, &op, read.as_ref());
-                        let transit_branches =
-                            (!transition.is_det()).then(|| transition.branches().len());
-                        state = match transit_branches.and_then(|b| gate.coin_branch(pid, true, b))
-                        {
-                            Some(i) => {
-                                &transition
-                                    .branches()
-                                    .get(i)
-                                    .expect("forced transit branch within range")
-                                    .1
-                            }
-                            None => transition.sample(&mut rng),
-                        }
-                        .clone();
-                        taken += 1;
-                        flipped += choose_branches.is_some() as u64;
-                        flipped += transit_branches.is_some() as u64;
-                        let value: &dyn fmt::Debug = match (&op, &read) {
-                            (Op::Write(_, v), _) => v,
-                            (_, Some(r)) => r,
-                            _ => &"?",
-                        };
-                        gate.release(StepRecord {
+                        let record = step(
+                            protocol,
                             pid,
-                            write: op.is_write(),
-                            reg: op.reg(),
-                            value,
-                            choose_branches,
-                            transit_branches,
-                            decision: protocol.decision(&state),
-                        });
+                            &mut state,
+                            &mut memory,
+                            &mut rng,
+                            |stage, branches| gate.coin_branch(pid, stage, branches),
+                        );
+                        taken += 1;
+                        flipped += u64::from(record.choose_branches.is_some())
+                            + u64::from(record.transit_branches.is_some());
+                        gate.release(&record);
                     }
                     (protocol.decision(&state), taken, flipped)
                 })
@@ -309,6 +240,7 @@ where
         })
         .collect();
     ThreadOutcome {
+        inputs: inputs.to_vec(),
         decisions,
         steps,
         flips,

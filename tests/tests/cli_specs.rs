@@ -233,3 +233,37 @@ fn target_decisions_stop_when_nothing_decides() {
     assert!(out.contains("decided: 0 "), "{out}");
     assert!(out.contains("not reached"), "{out}");
 }
+
+#[test]
+fn searches_exit_1_on_a_violation_and_0_without() {
+    let racy = "--protocol mutant:racy --inputs a,b";
+    let two = "--protocol two --inputs a,b";
+    let mut cases = Vec::new();
+    for (spec, code) in [(racy, &[1][..]), (two, &[0][..])] {
+        cases.extend(
+            [
+                format!("check {spec} --depth 24"),
+                format!("sweep {spec} --trials 500 --jobs 1"),
+                format!("conc stress {spec} --strategy pct --trials 64 --jobs 1"),
+            ]
+            .map(|line| (line, code)),
+        );
+    }
+    cases.push(("check --protocol two --inputs a,b --depth 12".into(), &[0]));
+    cases.push((
+        "serve two --inputs a,b --instances 500 --shards 1".into(),
+        &[0],
+    ));
+    assert_exit_codes(cases);
+
+    // `check` lists each violation it found above its verdict.
+    let line = format!("check {racy} --depth 24");
+    let report = match dispatch_full(line.split_whitespace().map(String::from)) {
+        Err(failure) => failure.message().to_string(),
+        Ok(out) => panic!("cil {line} passed:\n{out}"),
+    };
+    let listed = report
+        .find("  inconsistent: decided a, b at depth 24")
+        .unwrap_or_else(|| panic!("no violation listed:\n{report}"));
+    assert!(report[listed..].contains("VIOLATIONS FOUND — see above"));
+}

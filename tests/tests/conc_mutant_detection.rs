@@ -97,29 +97,31 @@ fn cli_stress_capture_is_byte_identical_and_replays() {
     let dir = std::env::temp_dir();
     let cap1 = dir.join("cil_conc_mutant_cap_1.jsonl");
     let cap2 = dir.join("cil_conc_mutant_cap_2.jsonl");
-    let run = |path: &std::path::Path| {
-        cil_cli::dispatch(
-            [
-                "conc",
-                "stress",
-                "--protocol",
-                "mutant:racy",
-                "--inputs",
-                "a,b",
-                "--strategy",
-                "pct:1",
-                "--trials",
-                "8",
-                "--seed",
-                "1",
-                "--budget",
-                "64",
-                "--trace-json",
-                path.to_str().unwrap(),
-            ]
-            .map(String::from),
-        )
-        .expect("stress runs")
+    // The batch finds the planted race, so `conc stress` exits 1 with its
+    // report on stdout.
+    let run = |path: &std::path::Path| match cil_cli::dispatch_full(
+        [
+            "conc",
+            "stress",
+            "--protocol",
+            "mutant:racy",
+            "--inputs",
+            "a,b",
+            "--strategy",
+            "pct:1",
+            "--trials",
+            "8",
+            "--seed",
+            "1",
+            "--budget",
+            "64",
+            "--trace-json",
+            path.to_str().unwrap(),
+        ]
+        .map(String::from),
+    ) {
+        Err(cil_cli::CliFailure::Audit(report)) => report,
+        other => panic!("stress must report the violation: {other:?}"),
     };
     let out1 = run(&cap1);
     let out2 = run(&cap2);
