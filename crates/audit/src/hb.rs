@@ -366,17 +366,4 @@ impl TraceAuditor {
         }
         report
     }
-
-    /// Parses a JSONL capture and audits it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error of the first malformed line.
-    pub fn audit_jsonl(&self, text: &str) -> Result<TraceReport, String> {
-        let mut events = Vec::new();
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            events.push(RunEvent::from_json(line)?);
-        }
-        Ok(self.audit(&events))
-    }
 }

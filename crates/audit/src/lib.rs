@@ -59,5 +59,7 @@ pub use footprint::{
 pub use hb::{reg_meta, RegMeta, TraceAnomaly, TraceAuditor, TraceReport};
 pub use lints::{lint, lint_with_footprints, LintCode, LintFinding, LintReport};
 pub use mutants::{LintMutant, LintMutantTwo, MutantKind, MutantTwo};
-pub use prove::{check_certificate, CertCheck, Counterexample, ProveOutcome, ProveReport, Prover};
+pub use prove::{
+    check_certificate, BlockReach, CertCheck, Counterexample, ProveOutcome, ProveReport, Prover,
+};
 pub use walker::{AuditReport, Auditor};

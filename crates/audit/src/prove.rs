@@ -50,6 +50,20 @@ fn config_fp<P: Protocol>(cfg: &Config<P>) -> u64 {
     fingerprint(&format!("{:?}|{:?}|{}", cfg.states, cfg.regs, cfg.active))
 }
 
+/// Renders values as `a, b, a`.
+fn join_vals(values: &[Val]) -> String {
+    values
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// The values' integer encodings.
+fn val_nums(values: &[Val]) -> Vec<u64> {
+    values.iter().map(|v| v.0).collect()
+}
+
 /// One step of a counterexample schedule: which processor moved and which
 /// `choose`/`transit` coin branches the adversary forced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,6 +125,21 @@ struct CertBlock {
     entries: Vec<CertEntry>,
 }
 
+/// How far one input block's breadth-first closure got.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockReach {
+    /// The block's input assignment.
+    pub inputs: Vec<Val>,
+    /// Configurations reached.
+    pub configs: u64,
+    /// The deepest BFS level expanded in full: every configuration that
+    /// many steps from the initial one had all its successors generated.
+    pub depth: u32,
+    /// Whether the configuration budget stopped the block before its
+    /// frontier closed.
+    pub truncated: bool,
+}
+
 /// Result of a [`Prover`] run.
 #[derive(Debug, Clone)]
 pub struct ProveReport {
@@ -129,10 +158,24 @@ pub struct ProveReport {
     pub edges: u64,
     /// The verdict.
     pub outcome: ProveOutcome,
+    /// How far each block that closed or hit the budget got, in block
+    /// order; their `configs` sum to [`ProveReport::configs`].
+    pub reach: Vec<BlockReach>,
     cert: Vec<CertBlock>,
 }
 
 impl ProveReport {
+    /// Books one block's reach into the totals.
+    fn reached(&mut self, inputs: &[Val], configs: usize, depth: u32, truncated: bool) {
+        self.configs += configs as u64;
+        self.reach.push(BlockReach {
+            inputs: inputs.to_vec(),
+            configs: configs as u64,
+            depth,
+            truncated,
+        });
+    }
+
     /// Whether the proof succeeded.
     pub fn proved(&self) -> bool {
         matches!(self.outcome, ProveOutcome::Proved)
@@ -143,14 +186,7 @@ impl ProveReport {
         let mut out = String::new();
         out.push_str(&format!("prove: {}\n", self.protocol));
         out.push_str(&format!("  processes:  {}\n", self.processes));
-        out.push_str(&format!(
-            "  inputs:     {}\n",
-            self.domain
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
+        out.push_str(&format!("  inputs:     {}\n", join_vals(&self.domain)));
         out.push_str(&format!("  blocks:     {}\n", self.blocks));
         out.push_str(&format!("  configs:    {}\n", self.configs));
         out.push_str(&format!("  edges:      {}\n", self.edges));
@@ -158,18 +194,25 @@ impl ProveReport {
         match &self.outcome {
             ProveOutcome::Proved => out.push_str("result: PROVED\n"),
             ProveOutcome::Bounded => {
-                out.push_str("result: BOUNDED (config budget hit before the frontier closed)\n")
+                out.push_str("result: BOUNDED (config budget hit before the frontier closed)\n");
+                out.push_str("  reach per block (configs, deepest BFS level expanded in full):\n");
+                for block in &self.reach {
+                    out.push_str(&format!(
+                        "    {}: {} configs, level {}{}\n",
+                        join_vals(&block.inputs),
+                        block.configs,
+                        block.depth,
+                        if block.truncated {
+                            " — budget hit"
+                        } else {
+                            ", closed"
+                        }
+                    ));
+                }
             }
             ProveOutcome::Refuted(cex) => {
                 out.push_str(&format!("result: REFUTED ({})\n", cex.property));
-                out.push_str(&format!(
-                    "  inputs:   {}\n",
-                    cex.inputs
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
+                out.push_str(&format!("  inputs:   {}\n", join_vals(&cex.inputs)));
                 out.push_str(&format!("  schedule: {:?}\n", cex.schedule()));
                 out.push_str(&format!("  detail:   {}\n", cex.detail));
             }
@@ -187,14 +230,26 @@ impl ProveReport {
         let mut w = ObjWriter::new()
             .str("prove", &self.protocol)
             .num("processes", self.processes as u64)
-            .raw(
-                "inputs",
-                &num_array(&self.domain.iter().map(|v| v.0).collect::<Vec<_>>()),
-            )
+            .raw("inputs", &num_array(&val_nums(&self.domain)))
             .num("blocks", self.blocks as u64)
             .num("configs", self.configs)
             .num("edges", self.edges)
             .str("result", result);
+        if let ProveOutcome::Bounded = self.outcome {
+            let reach: Vec<String> = self
+                .reach
+                .iter()
+                .map(|block| {
+                    ObjWriter::new()
+                        .raw("inputs", &num_array(&val_nums(&block.inputs)))
+                        .num("configs", block.configs)
+                        .num("depth", u64::from(block.depth))
+                        .str("frontier", if block.truncated { "open" } else { "closed" })
+                        .finish()
+                })
+                .collect();
+            w = w.raw("reach", &format!("[{}]", reach.join(",")));
+        }
         if let ProveOutcome::Refuted(cex) = &self.outcome {
             let schedule: Vec<u64> = cex.steps.iter().map(|s| s.pid as u64).collect();
             let choose: Vec<u64> = cex.steps.iter().map(|s| s.choose as u64).collect();
@@ -203,10 +258,7 @@ impl ProveReport {
                 "counterexample",
                 &ObjWriter::new()
                     .str("property", cex.property)
-                    .raw(
-                        "inputs",
-                        &num_array(&cex.inputs.iter().map(|v| v.0).collect::<Vec<_>>()),
-                    )
+                    .raw("inputs", &num_array(&val_nums(&cex.inputs)))
                     .raw("schedule", &num_array(&schedule))
                     .raw("choose", &num_array(&choose))
                     .raw("transit", &num_array(&transit))
@@ -259,10 +311,7 @@ impl ProveReport {
             configs.push(']');
             blocks.push_str(
                 &ObjWriter::new()
-                    .raw(
-                        "inputs",
-                        &num_array(&block.inputs.iter().map(|v| v.0).collect::<Vec<_>>()),
-                    )
+                    .raw("inputs", &num_array(&val_nums(&block.inputs)))
                     .raw("configs", &configs)
                     .finish(),
             );
@@ -335,6 +384,7 @@ impl<'p, P: Protocol> Prover<'p, P> {
             configs: 0,
             edges: 0,
             outcome: ProveOutcome::Proved,
+            reach: Vec::new(),
             cert: Vec::new(),
         };
         let mut truncated = false;
@@ -362,12 +412,14 @@ impl<'p, P: Protocol> Prover<'p, P> {
         struct Rec<P: Protocol> {
             cfg: Config<P>,
             parent: Option<(usize, ProofStep)>,
+            depth: u32,
         }
         let protocol = self.protocol;
         let init = Config::initial(protocol, inputs);
         let mut recs: Vec<Rec<P>> = vec![Rec {
             cfg: init.clone(),
             parent: None,
+            depth: 0,
         }];
         let mut index: HashMap<Config<P>, usize> = HashMap::new();
         index.insert(init, 0);
@@ -410,7 +462,9 @@ impl<'p, P: Protocol> Prover<'p, P> {
         let mut at = 0usize;
         while at < recs.len() {
             if recs.len() > self.max_configs {
-                report.configs += recs.len() as u64;
+                // BFS order: every level above `recs[at]`'s is expanded, and
+                // `recs[at]` is never the root (the budget is at least 1).
+                report.reached(inputs, recs.len(), recs[at].depth - 1, true);
                 return BlockOutcome::Truncated;
             }
             let eligible = recs[at].cfg.eligible(protocol);
@@ -433,6 +487,7 @@ impl<'p, P: Protocol> Prover<'p, P> {
                                 transit: s.transit_idx,
                             },
                         )),
+                        depth: recs[at].depth + 1,
                     });
                     if let Some(cex) = check(&recs, idx) {
                         return BlockOutcome::Refuted(cex);
@@ -441,7 +496,7 @@ impl<'p, P: Protocol> Prover<'p, P> {
             }
             at += 1;
         }
-        report.configs += recs.len() as u64;
+        report.reached(inputs, recs.len(), recs[recs.len() - 1].depth, false);
         let entries = recs
             .iter()
             .enumerate()
@@ -798,6 +853,44 @@ mod tests {
         let check = check_certificate(&p, &cert).expect("certificate verifies");
         assert_eq!(check.blocks, 4);
         assert!(check.configs > 0 && check.edges > 0);
+    }
+
+    #[test]
+    fn bounded_reach_sums_to_the_config_total() {
+        let p = cil_core::three_bounded::ThreeBounded::new();
+        let small = Prover::new(&p).with_max_configs(500).run();
+        assert!(matches!(small.outcome, ProveOutcome::Bounded), "{small}");
+        assert_eq!(small.reach.len(), small.blocks);
+        let total: u64 = small.reach.iter().map(|b| b.configs).sum();
+        assert_eq!(total, small.configs);
+        assert!(small.reach.iter().all(|b| b.truncated && b.configs > 500));
+        let text = small.render();
+        for b in &small.reach {
+            let line = format!(
+                "{}: {} configs, level {}",
+                join_vals(&b.inputs),
+                b.configs,
+                b.depth
+            );
+            assert!(text.contains(&line), "{text}");
+        }
+        assert!(small
+            .to_json()
+            .contains(r#""reach":[{"inputs":[0,0,0],"configs":"#));
+        // A larger budget expands every block at least as deep.
+        let large = Prover::new(&p).with_max_configs(5000).run();
+        for (s, l) in small.reach.iter().zip(&large.reach) {
+            assert_eq!(s.inputs, l.inputs);
+            assert!(
+                s.depth <= l.depth && s.configs < l.configs,
+                "{s:?} vs {l:?}"
+            );
+        }
+        // Closed blocks report the depth of their deepest configuration,
+        // and a PROVED report keeps its rendering.
+        let two = Prover::new(&TwoProcessor::new()).run();
+        assert!(two.reach.iter().all(|b| !b.truncated && b.depth > 0));
+        assert!(!two.render().contains("reach") && !two.to_json().contains("reach"));
     }
 
     #[test]

@@ -11,8 +11,8 @@ use cil_audit::{
     check_certificate, lint_with_footprints, Auditor, ProveOutcome, Prover, TraceAuditor,
 };
 use cil_conc::{
-    classify, cross_validate, ddmin_schedule, rerun_trial_with_codec, stress_timed_with_codec,
-    ConcOutcome, ControlledRun, DporConfig, DporReport, DporTiming, GateTimingAgg, ReplaySchedule,
+    classify, cross_validate, rerun_trial_with_codec, stress_timed_with_codec, ConcOutcome,
+    ControlledRun, DporConfig, DporReport, DporTiming, GateTimingAgg, NativeShrink, ReplaySchedule,
     StaticIndep, StrategySpec, StressConfig,
 };
 use cil_core::apps::{elect_leader, MutexLog};
@@ -23,10 +23,10 @@ use cil_mc::{
     construct_infinite_schedule, CompactExplorer, CompactMdp, CompactOptions, LookaheadAdversary,
     Objective, Symmetric, Violation,
 };
-use cil_obs::json::{self, Value};
+use cil_obs::json;
 use cil_obs::{
-    JsonlSink, LevelReporter, MetricsSnapshot, ProgressMeter, Registry, RunEvent, SpanStat,
-    SpanTimer, SpanTree,
+    Capture, CaptureMode, LevelReporter, MemorySink, MetricsSnapshot, ProgressMeter, Registry,
+    RunEvent, SpanStat, SpanTimer, SpanTree,
 };
 use cil_serve::{ServeEngine, ServeLimit, ServeReport};
 use cil_sim::{
@@ -44,9 +44,12 @@ USAGE:
   cil run       --protocol <P> --inputs a,b[,..] [--adversary <A>] [--seed N]
                 [--max-steps N] [--trace] [--trace-json <file>]
   cil replay    <file> [--audit]                   re-execute a --trace-json
-                capture and verify the regenerated event stream byte-for-byte;
+                capture of either engine (cil run, cil conc stress|shrink)
+                and verify the regenerated event stream byte-for-byte;
                 --audit additionally verifies the capture is a serialization
-                of atomic register operations (happens-before audit)
+                of atomic register operations (happens-before audit); a
+                truncated or corrupt capture, or one whose steps name a
+                processor the protocol lacks, exits 2
   cil audit     [<P>|all|mutant:<M>] [--json]      static model-compliance
                 analysis: walk the per-processor transition graph and check
                 access sets, width bounds, coin measures, decision stability
@@ -61,7 +64,9 @@ USAGE:
                 over the exact product configuration graph (BFS reach-set as
                 a 1-inductive invariant); PROVED emits a cil-cert-v1
                 certificate via --cert; REFUTED exits 1 with a replayable
-                counterexample schedule (ddmin-shrunk on native threads)
+                counterexample schedule (ddmin-shrunk on native threads);
+                BOUNDED lists each input block's configurations and the
+                deepest BFS level it expanded in full
   cil prove     --check-cert <file> [<P>]          re-verify a certificate
                 with the independent checker (protocol inferred from the
                 certificate when <P> is omitted)
@@ -95,9 +100,8 @@ USAGE:
                 controlled native threads: every register operation is a
                 yield point scheduled by a seeded strategy; a whole batch is
                 a pure function of (--seed, --strategy) at any --jobs
-  cil conc replay  <file> [--audit]        re-execute a conc capture's
-                recorded schedule and verify the regenerated event stream
-                byte-for-byte; --audit adds the happens-before audit
+  cil conc replay  <file> [--audit]        the same command as cil replay:
+                either kind of capture, the same checks and exit codes
   cil conc shrink  --protocol <P> --inputs a,b[,..] --trial N
                 [--strategy <S>] [--seed N] [--budget N]   delta-debug a
                 failing stress trial's schedule to a 1-minimal repro
@@ -185,7 +189,8 @@ EXIT CODES: 0 = success; 1 = verification failed (`cil audit` found model
       or rejected a certificate, `cil replay` found trace anomalies or
       divergence, `cil check`, `cil sweep`, `cil serve` or `cil conc
       stress`/`explore` found a consistency or nontriviality violation —
-      the report is printed on stdout); 2 = usage or I/O error (stderr).
+      the report is printed on stdout); 2 = usage or I/O error, or a
+      malformed input file (stderr).
 "
     .to_string()
 }
@@ -323,9 +328,10 @@ fn merge_run_spans(
     registry.merge_spans(&tree);
 }
 
-/// Parses `--inputs` and checks it gives one value per processor.
-fn inputs_for<P: Protocol>(protocol: &P, args: &Args) -> Result<Vec<Val>, String> {
-    let inputs = parse_inputs(args.get_or("inputs", ""))?;
+/// Parses an input list (`--inputs`, a capture's inputs) and checks it
+/// gives one value per processor.
+fn inputs_for<P: Protocol>(protocol: &P, text: &str) -> Result<Vec<Val>, String> {
+    let inputs = parse_inputs(text)?;
     if inputs.len() != protocol.processes() {
         return Err(format!(
             "--inputs: expected {} values for {}, got {}",
@@ -347,7 +353,7 @@ fn run_one<P: Protocol + 'static, C>(
     _codec: &C,
     args: &Args,
 ) -> Result<String, String> {
-    let inputs = inputs_for(protocol, args)?;
+    let inputs = inputs_for(protocol, args.get_or("inputs", ""))?;
     let seed = args.get_u64("seed", 0)?;
     let spec = args.get_or("adversary", "random");
     let adversary = make_adversary::<P>(spec, seed, protocol.processes())?;
@@ -357,13 +363,9 @@ fn run_one<P: Protocol + 'static, C>(
         .seed(seed)
         .max_steps(max_steps)
         .record_trace(args.flag("trace"));
-    let mut captured: Option<(&str, String)> = None;
-    let out = if let Some(path) = args.get("trace-json") {
-        let mut sink = JsonlSink::new(Vec::new());
-        let out = runner.events(&mut sink).run();
-        let body = String::from_utf8(sink.into_inner()).expect("events are valid UTF-8");
-        captured = Some((path, body));
-        out
+    let mut sink = MemorySink::new();
+    let out = if args.get("trace-json").is_some() {
+        runner.events(&mut sink).run()
     } else {
         runner.run()
     };
@@ -391,24 +393,32 @@ fn run_one<P: Protocol + 'static, C>(
         out.nontrivial(),
         out.halt
     );
-    if let Some((path, body)) = captured {
-        let meta = json::ObjWriter::new()
-            .str("type", "meta")
-            .str("protocol", args.get_or("protocol", "two"))
-            .str("inputs", args.get_or("inputs", ""))
-            .num("seed", seed)
-            .num("max_steps", max_steps)
-            .str("adversary", spec)
-            .finish();
-        let events = body.lines().count();
-        std::fs::write(path, format!("{meta}\n{body}"))
-            .map_err(|e| format!("cannot write --trace-json file '{path}': {e}"))?;
+    if let Some(path) = args.get("trace-json") {
+        let capture = Capture {
+            protocol: args.get_or("protocol", "two").into(),
+            inputs: args.get_or("inputs", "").into(),
+            seed,
+            mode: CaptureMode::Sim {
+                max_steps,
+                adversary: spec.into(),
+            },
+            events: sink.events,
+        };
+        let records = write_capture(path, &capture)?;
         let _ = writeln!(
             s,
-            "events: {events} JSONL records -> {path}   (verify: cil replay {path})"
+            "events: {records} JSONL records -> {path}   (verify: cil replay {path})"
         );
     }
     Ok(s)
+}
+
+/// Writes a capture to its `--trace-json` file; returns how many events
+/// it holds.
+fn write_capture(path: &str, capture: &Capture) -> Result<usize, String> {
+    std::fs::write(path, capture.render())
+        .map_err(|e| format!("cannot write --trace-json file '{path}': {e}"))?;
+    Ok(capture.events.len())
 }
 
 /// `cil run` — execute one run.
@@ -416,162 +426,130 @@ pub fn run(args: &Args) -> Result<String, String> {
     with_spec!(protocol_arg(args)?, run_one(args))
 }
 
-/// Re-runs a protocol under a fixed schedule and returns the regenerated
-/// JSONL event body (no meta line) for byte-for-byte comparison.
-fn capture_events_one<P: Protocol + 'static, C>(
-    protocol: &P,
-    _codec: &C,
-    args: &Args,
-) -> Result<String, String> {
-    let inputs = inputs_for(protocol, args)?;
-    let seed = args.get_u64("seed", 0)?;
-    let adversary = make_adversary::<P>(
-        args.get_or("adversary", "round-robin"),
-        seed,
-        protocol.processes(),
-    )?;
-    let max_steps = args.get_u64("max-steps", 1_000_000)?;
-    let mut sink = JsonlSink::new(Vec::new());
-    Runner::new(protocol, &inputs, adversary)
-        .seed(seed)
-        .max_steps(max_steps)
-        .events(&mut sink)
-        .run();
-    Ok(String::from_utf8(sink.into_inner()).expect("events are valid UTF-8"))
-}
-
-/// `cil replay <file> [--audit]` — re-execute a `--trace-json` capture and
-/// verify the regenerated event stream matches the captured one
-/// byte-for-byte. With `--audit`, first verify the capture is a valid
-/// serialization of atomic register operations (happens-before audit: no
-/// stale/phantom reads, declared access sets respected, decisions
-/// irrevocable).
+/// `cil replay <file> [--audit]`, alias `cil conc replay <file> [--audit]`
+/// — re-execute a `--trace-json` capture of either engine and verify that
+/// the regenerated event stream matches the captured one byte-for-byte.
+/// With `--audit`, first verify the capture is a valid serialization of
+/// atomic register operations (happens-before audit: no stale/phantom
+/// reads, declared access sets respected, decisions irrevocable).
 ///
-/// The executor's coin RNG is independent of the adversary's randomness, so
-/// re-running the captured *schedule* (the pids of the step events) with the
-/// captured seed reproduces every coin flip, step, and decision exactly.
+/// A run is a pure function of its coin seed and its schedule (the pids of
+/// the step events): the simulator's coins are independent of the
+/// adversary's randomness, and the controlled scheduler serializes native
+/// threads deterministically. So a `cil run` capture re-executes under a
+/// [`FixedSchedule`] and a conc capture under a strict [`ReplaySchedule`].
 ///
 /// # Errors
 ///
 /// [`CliFailure::Audit`] (exit 1) on trace anomalies or divergence;
-/// [`CliFailure::Usage`] (exit 2) on unreadable or malformed captures.
+/// [`CliFailure::Usage`] (exit 2) on unreadable, truncated or corrupt
+/// captures, and on schedules naming a processor the protocol lacks.
 pub fn replay(args: &Args) -> Result<String, CliFailure> {
     let path = args
-        .pos(0)
+        .pos(usize::from(args.command == "conc"))
         .or_else(|| args.get("file"))
         .ok_or_else(|| "replay needs a capture file: cil replay <out.jsonl>".to_string())?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let mut lines = text.lines();
-    let meta_line = lines.next().ok_or_else(|| format!("'{path}' is empty"))?;
-    let meta = json::parse_flat(meta_line).map_err(|e| format!("bad meta line: {e}"))?;
-    if meta.get("type").and_then(Value::as_str) != Some("meta") {
-        return Err(CliFailure::Usage(format!(
-            "'{path}' does not start with a meta record (capture with cil run --trace-json)"
-        )));
+    // A damaged file is a malformed input — a usage error, exit 2 — not a
+    // verification verdict, so it is rejected before the audit and replay
+    // stages can mistake it for a divergent or non-serializable execution.
+    let capture = Capture::parse(&text)
+        .map_err(|e| format!("'{path}' is truncated or corrupt: {e}"))?
+        .ok_or_else(|| format!("'{path}' is not a --trace-json capture: it has no meta record"))?;
+    if !capture.is_complete() {
+        let why = "the capture does not end with the span_end that closes its run";
+        return Err(format!("'{path}' is truncated or corrupt: {why}").into());
     }
-    let meta_str = |k: &str| {
-        meta.get(k)
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("meta record missing '{k}'"))
-    };
-    let meta_num = |k: &str| {
-        meta.get(k)
-            .and_then(Value::as_num)
-            .ok_or_else(|| format!("meta record missing '{k}'"))
-    };
-    let protocol = meta_str("protocol")?;
-    let inputs = meta_str("inputs")?;
-    let seed = meta_num("seed")?;
-    let max_steps = meta_num("max_steps")?;
-    let captured: Vec<&str> = lines.collect();
+    let spec = parse_inputs(&capture.inputs)
+        .and_then(|inputs| ProtocolSpec::parse(&capture.protocol, Some(&inputs)))
+        .map_err(|e| format!("cannot replay '{path}': {e}"))?;
+    with_spec!(spec, replay_one(&capture, path, args.flag("audit")))
+}
 
-    // The captured schedule: pids of the step events, in order.
-    let mut schedule = Vec::new();
-    for (i, line) in captured.iter().enumerate() {
-        let ev = json::parse_flat(line).map_err(|e| format!("bad event on line {}: {e}", i + 2))?;
-        if ev.get("type").and_then(Value::as_str) == Some("step") {
-            let pid = ev
-                .get("pid")
-                .and_then(Value::as_num)
-                .ok_or_else(|| format!("step event on line {} has no pid", i + 2))?;
-            // One-based, as the adversary schedule notation expects.
-            schedule.push(pid + 1);
-        }
-    }
-    let sched_spec = format!(
-        "({})",
-        schedule
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    let tokens = [
-        "replay".to_string(),
-        "--protocol".into(),
-        protocol.to_string(),
-        "--inputs".into(),
-        inputs.to_string(),
-        "--seed".into(),
-        seed.to_string(),
-        "--max-steps".into(),
-        max_steps.to_string(),
-        "--adversary".into(),
-        sched_spec,
-    ];
-    let inner = Args::parse(tokens, &[])?;
-    let spec = ProtocolSpec::from_args(protocol, &inner)?;
+/// [`replay`] for the protocol the capture names.
+fn replay_one<P, C>(
+    protocol: &P,
+    codec: &C,
+    capture: &Capture,
+    path: &str,
+    audit: bool,
+) -> Result<String, CliFailure>
+where
+    P: Protocol + Sync,
+    P::Reg: Send + Sync,
+    C: WordCodec<P::Reg>,
+{
+    let (inputs, schedule) = inputs_for(protocol, &capture.inputs)
+        .and_then(|inputs| Ok((inputs, capture.schedule(protocol.processes())?)))
+        .map_err(|e| format!("cannot replay '{path}': {e}"))?;
+    let steps = schedule.len();
 
     // Happens-before audit of the captured stream, before re-execution: the
     // capture's own claim — "I am a serialization of atomic register
     // operations" — is checked against the protocol's declared registers.
-    let mut audit_section = String::new();
-    if args.flag("audit") {
-        let auditor = with_spec!(spec, trace_auditor());
-        let report = auditor.audit_jsonl(&captured.join("\n"))?;
-        audit_section = report.render();
-        if !report.ok() {
-            return Err(CliFailure::Audit(format!(
-                "trace '{path}' FAILED the happens-before audit:\n{audit_section}"
-            )));
-        }
-    }
-
-    // The schedule and inputs come from the capture, so errors name it.
-    let regenerated = with_spec!(spec, capture_events_one(&inner))
-        .map_err(|e| format!("cannot replay '{path}': {e}"))?;
-    let regen: Vec<&str> = regenerated.lines().collect();
-    for (i, (a, b)) in captured.iter().zip(&regen).enumerate() {
-        if a != b {
-            return Err(CliFailure::Audit(format!(
-                "replay DIVERGED at event {i}:\n  captured: {a}\n  replayed: {b}"
-            )));
-        }
-    }
-    if captured.len() != regen.len() {
+    let audited = audit.then(|| TraceAuditor::for_protocol(protocol).audit(&capture.events));
+    if let Some(report) = audited.as_ref().filter(|report| !report.ok()) {
         return Err(CliFailure::Audit(format!(
-            "replay DIVERGED: {} captured events vs {} replayed",
-            captured.len(),
-            regen.len()
+            "trace '{path}' FAILED the happens-before audit:\n{}",
+            report.render()
         )));
     }
+
+    let (replayed, engine, label) = match &capture.mode {
+        CaptureMode::Sim { max_steps, .. } => {
+            // One step past the captured ones already diverges, so a raised
+            // step limit cannot make the replay run on unbounded.
+            let limit = (*max_steps).min(steps as u64 + 1);
+            let mut sink = MemorySink::new();
+            Runner::new(protocol, &inputs, FixedSchedule::new(schedule))
+                .seed(capture.seed)
+                .max_steps(limit)
+                .events(&mut sink)
+                .run();
+            (sink.events, "", "replay")
+        }
+        CaptureMode::Conc { budget, .. } => {
+            let outcome = ControlledRun::new(protocol, &inputs)
+                .seed(capture.seed)
+                .budget(*budget)
+                .capture(true)
+                .run_with_codec(codec, Box::new(ReplaySchedule::strict(schedule)));
+            (
+                outcome.events,
+                " under the controlled scheduler",
+                "conc replay",
+            )
+        }
+    };
+    let captured = &capture.events;
+    let divergence = match captured.iter().zip(&replayed).position(|(a, b)| a != b) {
+        Some(i) => format!(
+            " at event {i}:\n  captured: {}\n  replayed: {}",
+            captured[i].to_json(),
+            replayed[i].to_json()
+        ),
+        None if captured.len() != replayed.len() => format!(
+            ": {} captured events vs {} replayed",
+            captured.len(),
+            replayed.len()
+        ),
+        None => String::new(),
+    };
+    if !divergence.is_empty() {
+        return Err(CliFailure::Audit(format!("{label} DIVERGED{divergence}\n")));
+    }
     let mut s = format!(
-        "replayed {protocol} from '{path}' (seed {seed}, {} steps)\n\
+        "replayed {}{engine} from '{path}' (seed {}, {steps} steps)\n\
          {} events re-executed — trace matches byte-for-byte ✓\n",
-        schedule.len(),
+        capture.protocol,
+        capture.seed,
         captured.len()
     );
-    if !audit_section.is_empty() {
+    if let Some(report) = audited {
         let _ = writeln!(s, "\nhappens-before audit of the capture:");
-        s.push_str(&audit_section);
+        s.push_str(&report.render());
     }
     Ok(s)
-}
-
-/// Builds the happens-before auditor for a protocol (used by
-/// `cil replay --audit` and `cil conc replay --audit`).
-fn trace_auditor<P: Protocol, C>(protocol: &P, _codec: &C) -> TraceAuditor {
-    TraceAuditor::for_protocol(protocol)
 }
 
 /// Audits one protocol, or lints it when the subcommand is `lint`. The walk
@@ -722,32 +700,25 @@ where
     };
     if let ProveOutcome::Refuted(cex) = &report.outcome {
         if !json {
-            let inputs = cex.inputs.clone();
             let schedule = cex.schedule();
             let budget = (schedule.len() as u64).max(4) * 2;
-            let failing = |candidate: &[usize]| {
-                let run: ConcOutcome = ControlledRun::new(protocol, &inputs)
-                    .seed(0)
-                    .budget(budget)
-                    .run_with_codec(
-                        codec,
-                        Box::new(ReplaySchedule::best_effort(candidate.to_vec())),
-                    );
-                match cex.property {
-                    "agreement" => !run.consistent(),
-                    _ => !run.nontrivial(),
-                }
+            let fails = |run: &ConcOutcome| match cex.property {
+                "agreement" => !run.consistent(),
+                _ => !run.nontrivial(),
             };
-            if failing(&schedule) {
-                let minimal = ddmin_schedule(&schedule, failing);
+            let shrunk = ControlledRun::new(protocol, &cex.inputs)
+                .budget(budget)
+                .shrink_with_codec(codec, &schedule, fails);
+            if let Some(shrunk) = shrunk {
                 let _ = writeln!(
                     out,
                     "  native replay (best-effort schedule): reproduces the violation"
                 );
                 let _ = writeln!(
                     out,
-                    "  1-minimal repro (ddmin): {} steps — {minimal:?}",
-                    minimal.len()
+                    "  1-minimal repro (ddmin): {} steps — {:?}",
+                    shrunk.minimal.len(),
+                    shrunk.minimal
                 );
             } else {
                 let _ = writeln!(
@@ -884,7 +855,7 @@ fn sweep_one<P: Protocol + Sync + 'static, C>(
     _codec: &C,
     args: &Args,
 ) -> Result<String, CliFailure> {
-    let inputs = inputs_for(protocol, args)?;
+    let inputs = inputs_for(protocol, args.get_or("inputs", ""))?;
     let trials = args.get_u64("trials", 1_000)?;
     let root_seed = args.get_u64("seed", 0)?;
     let max_steps = args.get_u64("max-steps", 1_000_000)?;
@@ -978,7 +949,7 @@ fn violation_line(violation: &Violation) -> String {
 
 fn check_one<P: Symmetric, C>(protocol: &P, _codec: &C, args: &Args) -> Result<String, CliFailure> {
     fits_active_mask(protocol)?;
-    let inputs = inputs_for(protocol, args)?;
+    let inputs = inputs_for(protocol, args.get_or("inputs", ""))?;
     let depth = args.get_u64("depth", 10)? as usize;
     let max_configs = args.get_u64("max-configs", 3_000_000)? as usize;
     let timings = timings_flag(args)?;
@@ -1185,7 +1156,7 @@ pub fn mdp(args: &Args) -> Result<String, String> {
 
 fn survival_one<P: Symmetric, C>(protocol: &P, _codec: &C, args: &Args) -> Result<String, String> {
     fits_active_mask(protocol)?;
-    let inputs = inputs_for(protocol, args)?;
+    let inputs = inputs_for(protocol, args.get_or("inputs", ""))?;
     let target = args.get_u64("target", 0)? as usize;
     if target >= protocol.processes() {
         return Err(format!(
@@ -1320,7 +1291,7 @@ where
     P::Reg: Send + Sync,
     C: WordCodec<P::Reg>,
 {
-    let inputs = inputs_for(protocol, args)?;
+    let inputs = inputs_for(protocol, args.get_or("inputs", ""))?;
     let seed = args.get_u64("seed", 0)?;
     let out = run_on_threads_gated(protocol, &inputs, seed, 5_000_000, codec, &FreeGate);
     Ok(format!(
@@ -1355,7 +1326,7 @@ pub fn conc(args: &Args) -> Result<String, CliFailure> {
     let spec = || ProtocolSpec::from_args(conc_protocol_spec(args), args);
     match args.pos(0) {
         Some("stress") => with_spec!(spec()?, conc_stress_one(args)),
-        Some("replay") => conc_replay(args),
+        Some("replay") => replay(args),
         Some("shrink") => with_spec!(spec()?, conc_shrink_one(args)),
         Some("explore") => with_spec!(spec()?, conc_explore_one(args)),
         Some(other) => Err(CliFailure::Usage(format!(
@@ -1430,7 +1401,7 @@ where
     C: WordCodec<P::Reg>,
 {
     let inputs = match args.get("inputs") {
-        Some(_) => inputs_for(protocol, args)?,
+        Some(_) => inputs_for(protocol, args.get_or("inputs", ""))?,
         // Default load: alternating inputs, so both decision values show up.
         None => (0..protocol.processes())
             .map(|i| if i % 2 == 0 { Val::A } else { Val::B })
@@ -1584,7 +1555,7 @@ where
     P::Reg: Send + Sync,
     C: WordCodec<P::Reg>,
 {
-    let inputs = inputs_for(protocol, args)?;
+    let inputs = inputs_for(protocol, args.get_or("inputs", ""))?;
     let cfg = conc_config(args)?;
     let timings = timings_flag(args)?;
     let registry = Registry::new();
@@ -1652,209 +1623,37 @@ where
                 cfg.trials
             )));
         }
-        let (_, outcome) = rerun_trial_with_codec(protocol, &inputs, codec, &cfg, trial);
-        let body = conc_capture_body(args, &cfg, trial, &outcome);
-        std::fs::write(path, body)
-            .map_err(|e| format!("cannot write --trace-json file '{path}': {e}"))?;
+        let (seed, outcome) = rerun_trial_with_codec(protocol, &inputs, codec, &cfg, trial);
+        let records = write_capture(path, &conc_capture(args, &cfg, trial, seed, outcome.events))?;
         let _ = writeln!(
             s,
-            "trial {trial} captured: {} JSONL records -> {path}   \
-             (verify: cil conc replay {path})",
-            outcome.events.len()
+            "trial {trial} captured: {records} JSONL records -> {path}   \
+             (verify: cil conc replay {path})"
         );
     }
     search_result(s, stats.violations())
 }
 
-/// Serializes one captured trial as a conc JSONL capture: a meta record
-/// carrying everything `conc replay` needs, then the event stream.
-fn conc_capture_body(
+/// The capture of stress trial `trial`, run from coin seed `seed`.
+fn conc_capture(
     args: &Args,
     cfg: &StressConfig,
     trial: u64,
-    outcome: &cil_conc::ConcOutcome,
-) -> String {
-    let seed = cil_sim::SplitMix64::jump(cfg.root_seed, trial).next_u64();
-    let meta = json::ObjWriter::new()
-        .str("type", "meta")
-        .str("mode", "conc")
-        .str("protocol", conc_protocol_spec(args))
-        .str("inputs", args.get_or("inputs", ""))
-        .num("seed", seed)
-        .num("budget", cfg.budget)
-        .str("strategy", &cfg.strategy.label())
-        .num("trial", trial)
-        .num("root_seed", cfg.root_seed)
-        .finish();
-    format!("{meta}\n{}\n", outcome.events_jsonl())
-}
-
-/// `cil conc replay <file> [--audit]` — re-execute a conc capture's
-/// recorded schedule under strict replay and verify the regenerated event
-/// stream byte-for-byte. The controlled scheduler makes a run a pure
-/// function of `(seed, schedule)`, so a successful replay certifies the
-/// capture really is the deterministic record of that native execution.
-/// With `--audit`, the capture is additionally checked to be a valid
-/// serialization of atomic register operations (happens-before audit).
-fn conc_replay(args: &Args) -> Result<String, CliFailure> {
-    let path = args.pos(1).or_else(|| args.get("file")).ok_or_else(|| {
-        "conc replay needs a capture file: cil conc replay <out.jsonl>".to_string()
-    })?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let mut lines = text.lines();
-    let meta_line = lines.next().ok_or_else(|| format!("'{path}' is empty"))?;
-    let meta = json::parse_flat(meta_line).map_err(|e| format!("bad meta line: {e}"))?;
-    if meta.get("type").and_then(Value::as_str) != Some("meta")
-        || meta.get("mode").and_then(Value::as_str) != Some("conc")
-    {
-        return Err(CliFailure::Usage(format!(
-            "'{path}' is not a conc capture (create one with \
-             cil conc stress --trace-json)"
-        )));
+    seed: u64,
+    events: Vec<RunEvent>,
+) -> Capture {
+    Capture {
+        protocol: conc_protocol_spec(args).into(),
+        inputs: args.get_or("inputs", "").into(),
+        seed,
+        mode: CaptureMode::Conc {
+            budget: cfg.budget,
+            strategy: cfg.strategy.label(),
+            trial,
+            root_seed: cfg.root_seed,
+        },
+        events,
     }
-    let meta_str = |k: &str| {
-        meta.get(k)
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("meta record missing '{k}'"))
-    };
-    let meta_num = |k: &str| {
-        meta.get(k)
-            .and_then(Value::as_num)
-            .ok_or_else(|| format!("meta record missing '{k}'"))
-    };
-    let protocol = meta_str("protocol")?;
-    let inputs = meta_str("inputs")?;
-    let seed = meta_num("seed")?;
-    let budget = meta_num("budget")?;
-    let captured: Vec<&str> = lines.collect();
-
-    // Structural integrity first: a capture written by `--trace-json` is a
-    // complete event stream that closes with the run's `span_end` record. A
-    // file failing this (a truncated copy, a corrupted line) is a malformed
-    // input — a usage error, exit 2 — not a verification verdict, so it is
-    // rejected before the audit and replay stages can mistake it for a
-    // divergent or non-serializable execution.
-    for (i, line) in captured.iter().enumerate() {
-        RunEvent::from_json(line).map_err(|e| {
-            format!(
-                "'{path}' is truncated or corrupt: bad event on line {}: {e}",
-                i + 2
-            )
-        })?;
-    }
-    if !matches!(
-        captured.last().map(|l| RunEvent::from_json(l)),
-        Some(Ok(RunEvent::SpanEnd { ref name, .. })) if name == "conc"
-    ) {
-        return Err(CliFailure::Usage(format!(
-            "'{path}' is truncated or corrupt: the capture does not end with \
-             the run's closing span_end record"
-        )));
-    }
-
-    // The recorded schedule: pids of the step events, in serialization
-    // order (zero-based — the controlled scheduler's own notation).
-    let mut schedule = Vec::new();
-    for (i, line) in captured.iter().enumerate() {
-        let ev = json::parse_flat(line).map_err(|e| format!("bad event on line {}: {e}", i + 2))?;
-        if ev.get("type").and_then(Value::as_str) == Some("step") {
-            let pid = ev
-                .get("pid")
-                .and_then(Value::as_num)
-                .ok_or_else(|| format!("step event on line {} has no pid", i + 2))?;
-            schedule.push(pid.to_string());
-        }
-    }
-    let tokens = [
-        "conc".to_string(),
-        "--protocol".into(),
-        protocol.to_string(),
-        "--inputs".into(),
-        inputs.to_string(),
-        "--seed".into(),
-        seed.to_string(),
-        "--budget".into(),
-        budget.to_string(),
-        "--schedule".into(),
-        schedule.join(","),
-    ];
-    let inner = Args::parse(tokens, &[])?;
-    let spec = ProtocolSpec::from_args(protocol, &inner)?;
-
-    let mut audit_section = String::new();
-    if args.flag("audit") {
-        let auditor = with_spec!(spec, trace_auditor());
-        let report = auditor.audit_jsonl(&captured.join("\n"))?;
-        audit_section = report.render();
-        if !report.ok() {
-            return Err(CliFailure::Audit(format!(
-                "trace '{path}' FAILED the happens-before audit:\n{audit_section}"
-            )));
-        }
-    }
-
-    let regenerated = with_spec!(spec, conc_capture_one(&inner))?;
-    let regen: Vec<&str> = regenerated.lines().collect();
-    for (i, (a, b)) in captured.iter().zip(&regen).enumerate() {
-        if a != b {
-            return Err(CliFailure::Audit(format!(
-                "conc replay DIVERGED at event {i}:\n  captured: {a}\n  replayed: {b}"
-            )));
-        }
-    }
-    if captured.len() != regen.len() {
-        return Err(CliFailure::Audit(format!(
-            "conc replay DIVERGED: {} captured events vs {} replayed",
-            captured.len(),
-            regen.len()
-        )));
-    }
-    let mut s = format!(
-        "replayed {protocol} under the controlled scheduler from '{path}' \
-         (seed {seed}, {} steps)\n\
-         {} events re-executed — trace matches byte-for-byte ✓\n",
-        schedule.len(),
-        captured.len()
-    );
-    if !audit_section.is_empty() {
-        let _ = writeln!(s, "\nhappens-before audit of the capture:");
-        s.push_str(&audit_section);
-    }
-    Ok(s)
-}
-
-/// Re-runs a protocol under strict replay of a recorded schedule and
-/// returns the regenerated JSONL event body (no meta line).
-fn conc_capture_one<P, C>(protocol: &P, codec: &C, args: &Args) -> Result<String, CliFailure>
-where
-    P: Protocol + Sync,
-    P::Reg: Send + Sync,
-    C: WordCodec<P::Reg>,
-{
-    let inputs = inputs_for(protocol, args)?;
-    let seed = args.get_u64("seed", 0)?;
-    let budget = args.get_u64("budget", 4096)?;
-    let schedule = parse_conc_schedule(args.get_or("schedule", ""))?;
-    let outcome = ControlledRun::new(protocol, &inputs)
-        .seed(seed)
-        .budget(budget)
-        .capture(true)
-        .run_with_codec(codec, Box::new(ReplaySchedule::strict(schedule)));
-    Ok(outcome.events_jsonl())
-}
-
-/// Parses a comma-separated list of zero-based pids.
-fn parse_conc_schedule(spec: &str) -> Result<Vec<usize>, String> {
-    if spec.is_empty() {
-        return Ok(Vec::new());
-    }
-    spec.split(',')
-        .map(|t| {
-            t.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("bad schedule entry '{t}'"))
-        })
-        .collect()
 }
 
 /// `cil conc shrink` — re-derive one failing stress trial and delta-debug
@@ -1867,7 +1666,7 @@ where
     P::Reg: Send + Sync,
     C: WordCodec<P::Reg>,
 {
-    let inputs = inputs_for(protocol, args)?;
+    let inputs = inputs_for(protocol, args.get_or("inputs", ""))?;
     let cfg = conc_config(args)?;
     let trial = args.get_u64("trial", 0)?;
     let (trial_seed, outcome) = rerun_trial_with_codec(protocol, &inputs, codec, &cfg, trial);
@@ -1881,18 +1680,21 @@ where
             cfg.root_seed
         )));
     }
-    let replay_fails = |candidate: &[usize]| {
-        let out = ControlledRun::new(protocol, &inputs)
-            .seed(trial_seed)
-            .budget(cfg.budget)
-            .run_with_codec(
-                codec,
-                Box::new(ReplaySchedule::best_effort(candidate.to_vec())),
-            );
-        classify(&out).outcome == kind
+    let fails = |out: &ConcOutcome| classify(out).outcome == kind;
+    let Some(NativeShrink {
+        minimal,
+        repro,
+        revalidated,
+    }) = ControlledRun::new(protocol, &inputs)
+        .seed(trial_seed)
+        .budget(cfg.budget)
+        .shrink_with_codec(codec, &outcome.schedule, fails)
+    else {
+        return Err(CliFailure::Audit(format!(
+            "trial {trial} did not fail again under best-effort replay of its \
+             own schedule — the controlled run is not deterministic\n"
+        )));
     };
-    let minimal = ddmin_schedule(&outcome.schedule, replay_fails);
-    let revalidated = replay_fails(&minimal);
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -1917,17 +1719,10 @@ where
         "  re-validated under best-effort replay: still fails — {revalidated}"
     );
     if let Some(path) = args.get("trace-json") {
-        let repro = ControlledRun::new(protocol, &inputs)
-            .seed(trial_seed)
-            .budget(cfg.budget)
-            .capture(true)
-            .run_with_codec(
-                codec,
-                Box::new(ReplaySchedule::best_effort(minimal.clone())),
-            );
-        let body = conc_capture_body(args, &cfg, trial, &repro);
-        std::fs::write(path, body)
-            .map_err(|e| format!("cannot write --trace-json file '{path}': {e}"))?;
+        write_capture(
+            path,
+            &conc_capture(args, &cfg, trial, trial_seed, repro.events),
+        )?;
         let _ = writeln!(
             s,
             "  minimal repro captured -> {path}   (verify: cil conc replay {path})"
@@ -1996,7 +1791,7 @@ where
     P::Reg: Send + Sync,
     C: WordCodec<P::Reg>,
 {
-    let inputs = inputs_for(protocol, args)?;
+    let inputs = inputs_for(protocol, args.get_or("inputs", ""))?;
     if args.flag("cross-check") {
         fits_active_mask(protocol)?;
     }
@@ -2186,29 +1981,22 @@ where
         // schedule, same classification ⇒ still failing. The explorer found
         // the violation with forced coins, so for coin-flipping protocols a
         // schedule-only replay may not reproduce it — guarded below.
-        let replay_fails = |candidate: &[usize]| {
-            let out = ControlledRun::new(protocol, &inputs)
-                .seed(0)
-                .budget(cfg.depth_bound)
-                .run_with_codec(
-                    codec,
-                    Box::new(ReplaySchedule::best_effort(candidate.to_vec())),
-                );
-            classify(&out).outcome == v.kind
-        };
-        if replay_fails(&v.schedule) {
-            let minimal = ddmin_schedule(&v.schedule, replay_fails);
+        let fails = |out: &ConcOutcome| classify(out).outcome == v.kind;
+        let shrunk = ControlledRun::new(protocol, &inputs)
+            .budget(cfg.depth_bound)
+            .shrink_with_codec(codec, &v.schedule, fails);
+        if let Some(shrunk) = shrunk {
             let _ = writeln!(
                 s,
                 "  1-minimal repro (ddmin): {} preemption points (removing any \
                  single entry makes the failure vanish)",
-                minimal.len()
+                shrunk.minimal.len()
             );
-            let _ = writeln!(s, "  schedule: {minimal:?}");
+            let _ = writeln!(s, "  schedule: {:?}", shrunk.minimal);
             let _ = writeln!(
                 s,
                 "  re-validated under best-effort replay: still fails — {}",
-                replay_fails(&minimal)
+                shrunk.revalidated
             );
         } else {
             let _ = writeln!(
@@ -2219,14 +2007,6 @@ where
         }
     }
     Err(CliFailure::Audit(s))
-}
-
-/// Renders a flat-JSON value (string or number) for display.
-fn value_text(v: &Value) -> String {
-    match v.as_str() {
-        Some(s) => s.to_string(),
-        None => v.as_num().map(|n| n.to_string()).unwrap_or_default(),
-    }
 }
 
 /// `cil report <file>` — offline analyzer for the artifacts the other
@@ -2257,141 +2037,102 @@ pub fn report(args: &Args) -> Result<String, CliFailure> {
         )
     })?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let first = text.lines().next().unwrap_or("");
-    let is_capture = json::parse_flat(first)
-        .ok()
-        .is_some_and(|m| m.get("type").and_then(Value::as_str) == Some("meta"));
-    if is_capture {
-        if args.get("merge").is_some() {
-            return Err(CliFailure::Usage(
-                "--merge applies to metrics snapshots; captures cannot be merged".into(),
-            ));
-        }
-        report_capture(path, &text, args).map_err(CliFailure::Usage)
-    } else {
-        report_metrics(path, &text, args)
+    match Capture::parse(&text).map_err(|e| format!("'{path}' is truncated or corrupt: {e}"))? {
+        Some(_) if args.get("merge").is_some() => Err(CliFailure::Usage(
+            "--merge applies to metrics snapshots; captures cannot be merged".into(),
+        )),
+        Some(capture) => Ok(report_capture(path, &capture, args)),
+        None => report_metrics(path, &text, args),
     }
 }
 
 /// Per-processor tallies of a capture's event stream.
 #[derive(Default, Clone)]
 struct PidTally {
-    reads: u64,
-    writes: u64,
-    choose: u64,
-    transit: u64,
+    /// Reads and writes.
+    ops: [u64; 2],
+    /// `choose` and `transit` coin flips.
+    coins: [u64; 2],
     /// `(value, own-step count when deciding, global step index)`.
     decided: Option<(u64, u64, u64)>,
 }
 
-/// Capture mode of [`report`]: tables over the JSONL event stream.
-fn report_capture(path: &str, text: &str, args: &Args) -> Result<String, String> {
-    let mut lines = text.lines();
-    let meta_line = lines.next().ok_or_else(|| format!("'{path}' is empty"))?;
-    let meta = json::parse_flat(meta_line).map_err(|e| format!("bad meta line: {e}"))?;
-    let mut events = Vec::new();
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        events.push(
-            RunEvent::from_json(line).map_err(|e| format!("bad event on line {}: {e}", i + 2))?,
-        );
-    }
-
-    let mut pids: std::collections::BTreeMap<usize, PidTally> = std::collections::BTreeMap::new();
-    let mut regs: std::collections::BTreeMap<usize, (u64, u64)> = std::collections::BTreeMap::new();
+/// Capture mode of [`report`]: tables over the event stream. A capture
+/// cut short is reported as far as it goes.
+fn report_capture(path: &str, capture: &Capture, args: &Args) -> String {
+    let events = &capture.events;
+    let mut pids: std::collections::BTreeMap<usize, PidTally> = Default::default();
+    // Reads and writes per register.
+    let mut regs: std::collections::BTreeMap<usize, [u64; 2]> = Default::default();
     let mut violations: Vec<String> = Vec::new();
-    // Span nesting: (path, self-events, total-events) per open frame. The
-    // weights are contained event counts — deterministic, unlike wall time.
-    let mut stack: Vec<(String, u64, u64)> = Vec::new();
+    // Open spans, innermost last, weighted by the events they contain —
+    // deterministic, unlike wall time.
+    let mut stack: Vec<(String, SpanStat)> = Vec::new();
     let mut spans = SpanTree::new();
     let mut total_steps = 0u64;
-    for ev in &events {
+    for ev in events {
         match ev {
             RunEvent::SpanBegin { name, .. } => {
                 let span_path = match stack.last() {
-                    Some((parent, _, _)) => format!("{parent}/{name}"),
+                    Some((parent, _)) => format!("{parent}/{name}"),
                     None => name.clone(),
                 };
-                stack.push((span_path, 0, 0));
+                stack.push((span_path, SpanStat::default()));
+                continue;
             }
             RunEvent::SpanEnd { .. } => {
-                if let Some((span_path, self_ev, total_ev)) = stack.pop() {
-                    spans.add(
-                        &span_path,
-                        SpanStat {
-                            count: 1,
-                            total_ns: total_ev,
-                            self_ns: self_ev,
-                        },
-                    );
-                    if let Some((_, _, parent_total)) = stack.last_mut() {
-                        *parent_total += total_ev;
+                if let Some((span_path, stat)) = stack.pop() {
+                    spans.add(&span_path, SpanStat { count: 1, ..stat });
+                    if let Some((_, parent)) = stack.last_mut() {
+                        parent.total_ns += stat.total_ns;
                     }
                 }
+                continue;
             }
-            other => {
-                if let Some((_, self_ev, total_ev)) = stack.last_mut() {
-                    *self_ev += 1;
-                    *total_ev += 1;
-                }
-                match other {
-                    RunEvent::Step { pid, op, reg, .. } => {
-                        total_steps += 1;
-                        let t = pids.entry(*pid).or_default();
-                        let r = regs.entry(*reg).or_default();
-                        match op {
-                            cil_obs::OpKind::Read => {
-                                t.reads += 1;
-                                r.0 += 1;
-                            }
-                            cil_obs::OpKind::Write => {
-                                t.writes += 1;
-                                r.1 += 1;
-                            }
-                        }
-                    }
-                    RunEvent::CoinFlip { pid, stage, .. } => {
-                        let t = pids.entry(*pid).or_default();
-                        match stage {
-                            cil_obs::CoinStage::Choose => t.choose += 1,
-                            cil_obs::CoinStage::Transit => t.transit += 1,
-                        }
-                    }
-                    RunEvent::Decision { index, pid, value } => {
-                        let t = pids.entry(*pid).or_default();
-                        if t.decided.is_none() {
-                            t.decided = Some((*value, t.reads + t.writes, *index));
-                        }
-                    }
-                    RunEvent::Violation {
-                        index,
-                        kind,
-                        detail,
-                    } => {
-                        violations.push(format!("step {index}: {kind} — {detail}"));
-                    }
-                    _ => {}
-                }
+            RunEvent::Step { pid, op, reg, .. } => {
+                let write = usize::from(*op == cil_obs::OpKind::Write);
+                pids.entry(*pid).or_default().ops[write] += 1;
+                regs.entry(*reg).or_default()[write] += 1;
+                total_steps += 1;
             }
+            RunEvent::CoinFlip { pid, stage, .. } => {
+                let transit = usize::from(*stage == cil_obs::CoinStage::Transit);
+                pids.entry(*pid).or_default().coins[transit] += 1;
+            }
+            RunEvent::Decision { index, pid, value } => {
+                let t = pids.entry(*pid).or_default();
+                let own = t.ops[0] + t.ops[1];
+                t.decided.get_or_insert((*value, own, *index));
+            }
+            RunEvent::Violation {
+                index,
+                kind,
+                detail,
+            } => violations.push(format!("step {index}: {kind} — {detail}")),
+            RunEvent::Grant { .. } => {}
+        }
+        if let Some((_, stat)) = stack.last_mut() {
+            stat.self_ns += 1;
+            stat.total_ns += 1;
         }
     }
 
     if args.flag("flame") {
-        return Ok(spans.folded());
+        return spans.folded();
     }
 
-    let meta_val = |k: &str| meta.get(k).map(value_text);
     let mut s = String::new();
     let _ = writeln!(s, "capture : {path}");
     let _ = writeln!(
         s,
         "mode    : {}   protocol: {}   inputs: {}   seed: {}",
-        meta_val("mode").unwrap_or_else(|| "sim".into()),
-        meta_val("protocol").unwrap_or_else(|| "?".into()),
-        meta_val("inputs").unwrap_or_else(|| "?".into()),
-        meta_val("seed").unwrap_or_else(|| "?".into()),
+        match capture.mode {
+            CaptureMode::Sim { .. } => "sim",
+            CaptureMode::Conc { .. } => "conc",
+        },
+        capture.protocol,
+        capture.inputs,
+        capture.seed,
     );
     let _ = writeln!(s, "events  : {}   steps: {total_steps}", events.len());
 
@@ -2411,15 +2152,15 @@ fn report_capture(path: &str, text: &str, args: &Args) -> Result<String, String>
             s,
             "{:>9}  {:>5}  {:>6}  {:>13}  {:>14}  {decided}",
             format!("P{pid}"),
-            t.reads,
-            t.writes,
-            t.choose,
-            t.transit
+            t.ops[0],
+            t.ops[1],
+            t.coins[0],
+            t.coins[1]
         );
     }
 
     let _ = writeln!(s, "\nregister  reads  writes");
-    for (reg, (r, w)) in &regs {
+    for (reg, [r, w]) in &regs {
         let _ = writeln!(s, "{:>8}  {r:>5}  {w:>6}", format!("r{reg}"));
     }
 
@@ -2445,9 +2186,7 @@ fn report_capture(path: &str, text: &str, args: &Args) -> Result<String, String>
     if !decision_ks.is_empty() {
         let n = pids.len() as u64;
         let _ = writeln!(s, "\ndecided-by-k (own steps):");
-        let mut done = 0u64;
-        for k in &decision_ks {
-            done += 1;
+        for (done, k) in (1..).zip(&decision_ks) {
             let _ = writeln!(
                 s,
                 "  k = {k:>3}: {done}/{n} decided, {} undecided",
@@ -2472,7 +2211,7 @@ fn report_capture(path: &str, text: &str, args: &Args) -> Result<String, String>
             let _ = writeln!(s, "  {v}");
         }
     }
-    Ok(s)
+    s
 }
 
 /// Metrics mode of [`report`]: renders (optionally merged) snapshots.

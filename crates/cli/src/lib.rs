@@ -10,7 +10,7 @@
 //! cil lint      [two|all|mutant:dead-write] [--json] [--footprints]
 //! cil prove     two [--cert out.json] [--json] [--domain 0,1] [--max-configs N]
 //! cil prove     --check-cert out.json
-//! cil replay    out.jsonl
+//! cil replay    out.jsonl [--audit]
 //! cil sweep     --protocol fig2 --inputs a,b,a --trials 10000 --seed 7 --jobs 4
 //!               [--progress] [--metrics-out m.json] [--metrics-format json|openmetrics]
 //!               [--timings]

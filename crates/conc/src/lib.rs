@@ -25,7 +25,8 @@
 //!   the jobs-invariant `SweepStats`, making native decided-by-`k` decay
 //!   directly comparable with the simulator's Corollary curve.
 //! * **[`ddmin_schedule`]** — delta-debugging of failing schedules to a
-//!   1-minimal repro, re-validated via best-effort replay.
+//!   1-minimal repro; [`ControlledRun::shrink_with_codec`] runs it over
+//!   best-effort native replays and re-validates the result.
 //! * **[`RacyTwo`]** — a planted interleaving-sensitive mutant calibrating
 //!   the strategies' bug-finding power.
 //! * **[`explore`]** — stateless DPOR: *exhaustive* enumeration of every
@@ -58,7 +59,7 @@ pub use dpor::{
 pub use indep::{stays_asleep, Access, AccessSet, StaticIndep};
 pub use mutant::{RacyState, RacyTwo};
 pub use run::{ConcOutcome, ControlledRun};
-pub use shrink::ddmin_schedule;
+pub use shrink::{ddmin_schedule, NativeShrink};
 pub use strategy::{Pct, RandomWalk, ReplaySchedule, Strategy, StrategySpec};
 pub use stress::{
     classify, rerun_trial_with_codec, stress, stress_timed_with_codec, stress_with_codec,
@@ -103,11 +104,7 @@ mod tests {
                 .budget(256)
                 .capture(true)
                 .run(Box::new(ReplaySchedule::strict(original.schedule.clone())));
-            assert_eq!(
-                original.events_jsonl(),
-                replayed.events_jsonl(),
-                "seed {seed}"
-            );
+            assert_eq!(original.events, replayed.events, "seed {seed}");
             assert_eq!(original.halt, replayed.halt, "seed {seed}");
         }
     }
@@ -130,7 +127,7 @@ mod tests {
             .budget(3)
             .capture(true)
             .run(Box::new(ReplaySchedule::strict(original.schedule.clone())));
-        assert_eq!(original.events_jsonl(), replayed.events_jsonl());
+        assert_eq!(original.events, replayed.events);
     }
 
     #[test]

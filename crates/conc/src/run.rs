@@ -14,11 +14,11 @@ use cil_sim::{run_on_threads_gated, PackCodec, Protocol, Val, Verdict, WordCodec
 /// registers, serialized by a [`Coordinator`].
 #[derive(Debug)]
 pub struct ControlledRun<'a, P> {
-    protocol: &'a P,
-    inputs: &'a [Val],
-    seed: u64,
-    budget: u64,
-    capture: bool,
+    pub(crate) protocol: &'a P,
+    pub(crate) inputs: &'a [Val],
+    pub(crate) seed: u64,
+    pub(crate) budget: u64,
+    pub(crate) capture: bool,
 }
 
 impl<'a, P> ControlledRun<'a, P>
@@ -182,15 +182,5 @@ impl ConcOutcome {
     /// Whether every processor decided.
     pub fn all_decided(&self) -> bool {
         self.decisions.iter().all(Option::is_some)
-    }
-
-    /// The captured events as JSON lines (one per event, no trailing
-    /// newline).
-    pub fn events_jsonl(&self) -> String {
-        self.events
-            .iter()
-            .map(RunEvent::to_json)
-            .collect::<Vec<_>>()
-            .join("\n")
     }
 }

@@ -7,6 +7,60 @@
 //! re-executed with [`crate::ReplaySchedule::best_effort`], whose
 //! deterministic fallback keeps truncated schedules runnable, so the
 //! predicate is a pure function of the candidate.
+//! [`ControlledRun::shrink_with_codec`] wires the two together for a
+//! native run.
+
+use crate::run::{ConcOutcome, ControlledRun};
+use crate::strategy::ReplaySchedule;
+use cil_sim::{Protocol, WordCodec};
+
+/// A failing schedule reduced on native threads by
+/// [`ControlledRun::shrink_with_codec`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NativeShrink {
+    /// The 1-minimal failing subsequence of the schedule.
+    pub minimal: Vec<usize>,
+    /// A fresh best-effort replay of `minimal`, with its events captured.
+    pub repro: ConcOutcome,
+    /// Whether `repro` still fails — a determinism check on the shrink.
+    pub revalidated: bool,
+}
+
+impl<P> ControlledRun<'_, P>
+where
+    P: Protocol + Sync,
+    P::Reg: Send + Sync,
+{
+    /// Best-effort-replays `schedule` with this run's seed and budget and,
+    /// when the run `fails`, ddmin-shrinks the schedule for as long as the
+    /// candidate runs still fail, then replays the 1-minimal schedule once
+    /// more with its events captured.
+    ///
+    /// Returns `None` when the schedule alone does not reproduce the
+    /// failure — a counterexample that needs forced coin outcomes.
+    pub fn shrink_with_codec<C: WordCodec<P::Reg>>(
+        &self,
+        codec: &C,
+        schedule: &[usize],
+        fails: impl Fn(&ConcOutcome) -> bool,
+    ) -> Option<NativeShrink> {
+        let replay = |candidate: &[usize], capture: bool| {
+            let strategy = Box::new(ReplaySchedule::best_effort(candidate.to_vec()));
+            ControlledRun { capture, ..*self }.run_with_codec(codec, strategy)
+        };
+        let replay_fails = |candidate: &[usize]| fails(&replay(candidate, false));
+        if !replay_fails(schedule) {
+            return None;
+        }
+        let minimal = ddmin_schedule(schedule, replay_fails);
+        let repro = replay(&minimal, true);
+        Some(NativeShrink {
+            revalidated: fails(&repro),
+            minimal,
+            repro,
+        })
+    }
+}
 
 /// Reduces `schedule` to a 1-minimal subsequence for which `still_fails`
 /// holds, by complement-removal delta debugging.

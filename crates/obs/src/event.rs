@@ -5,17 +5,17 @@
 //! span begin/end, one event per step taken (with the register operation
 //! and the value read or written), coin flips, decisions, and safety
 //! violations. Events serialize to **JSONL** — one flat, deterministic JSON
-//! object per line — and parse back, so a captured stream is a replayable,
-//! diffable artifact: `cil replay` re-executes a capture's schedule and
-//! compares the regenerated lines byte for byte.
+//! object per line — and parse back, so a captured stream
+//! ([`Capture`](crate::Capture)) is a replayable, diffable artifact: `cil
+//! replay` re-executes a capture's schedule and compares the regenerated
+//! lines byte for byte.
 //!
 //! Sinks are deliberately dumb: [`EventSink::emit`] takes a fully-formed
 //! event and does whatever I/O it wants. Instrumentation is an
 //! `Option<&mut dyn EventSink>` at every call site, so a disabled stream
 //! costs one branch per step and no formatting.
 
-use crate::json::{parse_flat, ObjWriter, Value};
-use std::io::Write;
+use crate::json::{parse_value, Node, ObjWriter};
 
 /// Which register operation a step performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,19 +198,21 @@ impl RunEvent {
     ///
     /// # Errors
     ///
-    /// Returns a message if the line is not valid flat JSON, has an unknown
-    /// `type`, or is missing a field.
+    /// Returns a message if the line is not one JSON object, has an
+    /// unknown `type`, or is missing a field.
     pub fn from_json(line: &str) -> Result<RunEvent, String> {
-        let map = parse_flat(line)?;
+        let Node::Obj(map) = parse_value(line)? else {
+            return Err(format!("not a JSON object: {line}"));
+        };
         let str_of = |key: &str| -> Result<String, String> {
             map.get(key)
-                .and_then(Value::as_str)
+                .and_then(Node::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing string field '{key}' in {line}"))
         };
         let num_of = |key: &str| -> Result<u64, String> {
             map.get(key)
-                .and_then(Value::as_num)
+                .and_then(Node::as_num)
                 .ok_or_else(|| format!("missing numeric field '{key}' in {line}"))
         };
         match str_of("type")?.as_str() {
@@ -267,17 +269,6 @@ impl RunEvent {
 pub trait EventSink {
     /// Consumes one event.
     fn emit(&mut self, event: &RunEvent);
-
-    /// Flushes buffered output, if any.
-    fn flush(&mut self) {}
-}
-
-/// A sink that drops everything — for measuring instrumentation overhead.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&mut self, _event: &RunEvent) {}
 }
 
 /// A sink that keeps events in memory (tests, programmatic consumers).
@@ -297,34 +288,6 @@ impl MemorySink {
 impl EventSink for MemorySink {
     fn emit(&mut self, event: &RunEvent) {
         self.events.push(event.clone());
-    }
-}
-
-/// A sink that serializes each event as one JSON line into a writer.
-#[derive(Debug)]
-pub struct JsonlSink<W: Write> {
-    writer: W,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wraps a writer (a `Vec<u8>`, a `BufWriter<File>`, …).
-    pub fn new(writer: W) -> Self {
-        JsonlSink { writer }
-    }
-
-    /// Unwraps the writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: Write> EventSink for JsonlSink<W> {
-    fn emit(&mut self, event: &RunEvent) {
-        let _ = writeln!(self.writer, "{}", event.to_json());
-    }
-
-    fn flush(&mut self) {
-        let _ = self.writer.flush();
     }
 }
 
@@ -382,15 +345,24 @@ mod tests {
         }
     }
 
+    /// The JSONL writer is the capture writer: one line per event after
+    /// the meta record.
     #[test]
     fn jsonl_sink_writes_one_line_per_event() {
-        let mut sink = JsonlSink::new(Vec::<u8>::new());
-        for e in samples() {
-            sink.emit(&e);
-        }
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(text.lines().count(), samples().len());
-        assert!(text.lines().all(|l| l.starts_with("{\"type\":\"")));
+        let capture = crate::Capture {
+            protocol: "two".into(),
+            inputs: "a,b".into(),
+            seed: 0,
+            mode: crate::CaptureMode::Sim {
+                max_steps: 1,
+                adversary: "random".into(),
+            },
+            events: samples(),
+        };
+        let text = capture.render();
+        let lines: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(lines.len(), samples().len());
+        assert!(lines.iter().all(|l| l.starts_with("{\"type\":\"")));
     }
 
     #[test]

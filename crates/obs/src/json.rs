@@ -1,6 +1,6 @@
 //! Minimal dependency-free JSON support: a writer for flat and nested
-//! objects, and a parser for the *flat* one-line objects this workspace's
-//! JSONL event streams are made of.
+//! objects, and one parser for everything this workspace reads back —
+//! JSONL event captures, metrics snapshots and proof certificates.
 //!
 //! The workspace builds fully offline, so `serde_json` is not available;
 //! the event and metrics formats are deliberately simple enough that a
@@ -89,81 +89,10 @@ pub fn num_array(values: &[u64]) -> String {
     out
 }
 
-/// A parsed flat JSON value: the event format only uses strings and
-/// unsigned integers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
-    /// A JSON string (unescaped).
-    Str(String),
-    /// A non-negative integer.
-    Num(u64),
-}
-
-impl Value {
-    /// The string content, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            Value::Num(_) => None,
-        }
-    }
-
-    /// The integer content, if this is a number.
-    pub fn as_num(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            Value::Str(_) => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object (string and unsigned-integer values only —
-/// exactly what [`ObjWriter`] produces for events).
-///
-/// # Errors
-///
-/// Returns a message describing the first syntax problem encountered.
-pub fn parse_flat(line: &str) -> Result<BTreeMap<String, Value>, String> {
-    let mut out = BTreeMap::new();
-    let mut chars = line.trim().chars().peekable();
-    expect(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        return Ok(out);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        expect(&mut chars, ':')?;
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => Value::Str(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut num = String::new();
-                while chars.peek().is_some_and(char::is_ascii_digit) {
-                    num.push(chars.next().expect("peeked"));
-                }
-                Value::Num(num.parse().map_err(|_| format!("bad number '{num}'"))?)
-            }
-            other => return Err(format!("unexpected value start {other:?} for key '{key}'")),
-        };
-        out.insert(key, value);
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => return Ok(out),
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-}
-
 /// A parsed JSON value tree: strings, unsigned integers, arrays, objects.
 ///
-/// This is the nested counterpart of [`Value`]/[`parse_flat`], used to read
-/// back the canonical metrics exports (which nest histograms inside the
-/// snapshot object). Floats, booleans and `null` never appear in this
-/// workspace's formats and are rejected.
+/// Floats, booleans and `null` never appear in this workspace's formats
+/// and are rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
     /// A JSON string (unescaped).
@@ -342,22 +271,23 @@ mod tests {
     fn escape_round_trips_through_parse() {
         let nasty = "a\"b\\c\nd\te\u{1}";
         let line = ObjWriter::new().str("k", nasty).finish();
-        let parsed = parse_flat(&line).unwrap();
-        assert_eq!(parsed["k"], Value::Str(nasty.to_string()));
+        let parsed = parse_value(&line).unwrap();
+        assert_eq!(parsed.as_obj().unwrap()["k"], Node::Str(nasty.to_string()));
     }
 
     #[test]
     fn parse_reads_strings_and_numbers() {
-        let m = parse_flat(r#"{"a": "x", "b": 42}"#).unwrap();
+        let n = parse_value(r#"{"a": "x", "b": 42}"#).unwrap();
+        let m = n.as_obj().unwrap();
         assert_eq!(m["a"].as_str(), Some("x"));
         assert_eq!(m["b"].as_num(), Some(42));
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(parse_flat("not json").is_err());
-        assert!(parse_flat(r#"{"a": }"#).is_err());
-        assert!(parse_flat(r#"{"a": "unterminated"#).is_err());
+        assert!(parse_value("not json").is_err());
+        assert!(parse_value(r#"{"a": }"#).is_err());
+        assert!(parse_value(r#"{"a": "unterminated"#).is_err());
     }
 
     #[test]

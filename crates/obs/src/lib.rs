@@ -20,8 +20,10 @@
 //!   JSON export.
 //! * [`event`] — structured, typed run events (span begin/end, step taken,
 //!   register read/write, coin flip, decision, violation) serialized as
-//!   JSONL through a pluggable [`EventSink`]. A captured stream is enough
-//!   to replay a run exactly and verify the replay byte for byte.
+//!   JSONL through a pluggable [`EventSink`].
+//! * [`capture`] — the `--trace-json` format: a meta record and the event
+//!   stream ([`Capture`]), enough to replay a run exactly and verify the
+//!   replay byte for byte.
 //! * [`progress`] — live progress: a throttled trials/sec + ETA ticker
 //!   ([`ProgressMeter`]) and a per-BFS-level frontier/dedup reporter
 //!   ([`LevelReporter`]), both rendering to stderr only.
@@ -33,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod capture;
 pub mod event;
 pub mod export;
 pub mod json;
@@ -40,7 +43,8 @@ pub mod metrics;
 pub mod progress;
 pub mod span;
 
-pub use event::{CoinStage, EventSink, JsonlSink, MemorySink, NullSink, OpKind, RunEvent};
+pub use capture::{Capture, CaptureMode};
+pub use event::{CoinStage, EventSink, MemorySink, OpKind, RunEvent};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, LogHistogram, LogHistogramSnapshot, MergeError,
     MetricsSnapshot, QuantileBound, Registry, Series,

@@ -301,7 +301,6 @@ impl<'p, P: Protocol, A: Adversary<P>> Runner<'p, P, A> {
                 name: "run".into(),
                 detail: format!("{halt:?}"),
             });
-            s.flush();
         }
 
         let decisions = states.iter().map(|s| protocol.decision(s)).collect();

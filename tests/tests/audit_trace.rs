@@ -234,9 +234,13 @@ fn jsonl_captures_audit_clean() {
         .collect::<Vec<_>>()
         .join("\n");
     let auditor = TraceAuditor::for_protocol(&TwoProcessor::new());
-    let report = auditor.audit_jsonl(&text).unwrap();
+    let events: Vec<RunEvent> = text
+        .lines()
+        .map(|line| RunEvent::from_json(line).unwrap())
+        .collect();
+    let report = auditor.audit(&events);
     assert!(report.ok(), "{report}");
-    assert!(auditor.audit_jsonl("not json").is_err());
+    assert!(RunEvent::from_json("not json").is_err());
 }
 
 /// End-to-end through the CLI: `cil run --trace-json` then

@@ -7,8 +7,8 @@
 use cil_core::n_unbounded::NUnbounded;
 use cil_core::n_unbounded_1w1r::NUnbounded1W1R;
 use cil_core::three_bounded::{register_alphabet, BReg, ThreeBounded};
-use cil_mc::CompactExplorer;
-use cil_sim::Val;
+use cil_mc::{successors_indexed, CompactExplorer, Config};
+use cil_sim::{Protocol, Val};
 use std::collections::HashSet;
 
 fn depth(release: usize) -> usize {
@@ -42,6 +42,36 @@ fn fig3_bounded_is_safe_to_depth() {
             .run();
         assert!(report.safe(), "{:?}", report.violations);
     }
+}
+
+/// ROADMAP item 1, pinned: Fig. 3 as reconstructed here breaks
+/// consistency. From inputs a,a,b, the 39-step schedule below, with every
+/// coin on its first branch, makes P1 decide b and then P2 decide a. The
+/// test steps the current rules unchanged; a repair of Fig. 3 must carry
+/// it over to the old rules under their new name.
+#[test]
+fn fig3_roadmap_counterexample_decides_both_values() {
+    const SCHEDULE: [usize; 39] = [
+        0, 0, 0, 1, 1, 1, 2, 2, 2, 1, 1, 1, 2, 2, 2, 1, 2, 2, 2, 2, 1, 2, 2, 2, 2, 0, 0, 0, 0, 1,
+        2, 1, 1, 1, 1, 1, 1, 1, 2,
+    ];
+    let p = ThreeBounded::new();
+    let mut cfg = Config::initial(&p, &[Val::A, Val::A, Val::B]);
+    let mut branching = 0;
+    for (i, &pid) in SCHEDULE.iter().enumerate() {
+        let outcomes = successors_indexed(&p, &cfg, pid);
+        branching += usize::from(outcomes.len() > 1);
+        let first = outcomes.into_iter().next().expect("an eligible step");
+        assert_eq!((first.choose_idx, first.transit_idx), (0, 0));
+        cfg = first.config;
+        let step = i + 1;
+        let p1 = p.decision(&cfg.states[1]);
+        let p2 = p.decision(&cfg.states[2]);
+        assert_eq!(p1, (step >= 38).then_some(Val::B), "P1 after step {step}");
+        assert_eq!(p2, (step >= 39).then_some(Val::A), "P2 after step {step}");
+    }
+    assert_eq!(branching, 10);
+    assert_eq!(cfg.decision_values(&p), vec![Val::A, Val::B]);
 }
 
 #[test]

@@ -282,7 +282,8 @@ proptest! {
 #[test]
 fn truncated_capture_exits_2_not_1() {
     let dir = std::env::temp_dir();
-    let cap = dir.join("cil_conc_dpor_trunc_cap.jsonl");
+    let conc = dir.join("cil_conc_dpor_trunc_cap.jsonl");
+    let sim = dir.join("cil_conc_dpor_trunc_run.jsonl");
     dispatch(&[
         "conc",
         "stress",
@@ -293,36 +294,59 @@ fn truncated_capture_exits_2_not_1() {
         "--trials",
         "4",
         "--trace-json",
-        cap.to_str().unwrap(),
+        conc.to_str().unwrap(),
     ])
     .expect("stress runs");
-    let body = std::fs::read_to_string(&cap).unwrap();
-    let lines: Vec<&str> = body.lines().collect();
-    assert!(
-        lines.len() > 6,
-        "capture too small to truncate meaningfully"
-    );
-
-    // The intact capture verifies.
-    let replay =
-        |path: &std::path::Path| dispatch(&["conc", "replay", path.to_str().unwrap(), "--audit"]);
-    replay(&cap).expect("intact capture replays");
-
-    // Truncated at a line boundary: every remaining line is well-formed
-    // JSON, so only the missing closing span_end betrays the damage. That
-    // is a malformed input (exit 2), not an audit/replay verdict (exit 1).
+    dispatch(&[
+        "run",
+        "--protocol",
+        "fig2",
+        "--inputs",
+        "a,b,a",
+        "--seed",
+        "3",
+        "--trace-json",
+        sim.to_str().unwrap(),
+    ])
+    .expect("run runs");
     let trunc = dir.join("cil_conc_dpor_trunc_cap_cut.jsonl");
-    std::fs::write(&trunc, lines[..lines.len() / 2].join("\n")).unwrap();
-    let err = replay(&trunc).expect_err("truncated capture must be rejected");
-    assert_eq!(err.exit_code(), 2, "got {err:?}");
-    assert!(err.message().contains("truncated or corrupt"), "{err:?}");
+    // `cil replay` and `cil conc replay` are one command: each takes either
+    // kind of capture and judges damage alike.
+    let replays = |path: &std::path::Path| {
+        let p = path.to_str().unwrap();
+        [
+            dispatch(&["replay", p, "--audit"]),
+            dispatch(&["conc", "replay", p, "--audit"]),
+        ]
+    };
+    for cap in [&conc, &sim] {
+        let body = std::fs::read_to_string(cap).unwrap();
+        let lines: Vec<&str> = body.lines().collect();
+        assert!(
+            lines.len() > 6,
+            "capture too small to truncate meaningfully"
+        );
 
-    // Truncated mid-line: ditto.
-    let cut = body.len() - 7;
-    std::fs::write(&trunc, &body[..cut]).unwrap();
-    let err = replay(&trunc).expect_err("mid-line truncation must be rejected");
-    assert_eq!(err.exit_code(), 2, "got {err:?}");
+        // The intact capture verifies.
+        for result in replays(cap) {
+            result.expect("intact capture replays");
+        }
 
-    let _ = std::fs::remove_file(&cap);
+        // Truncated at any line boundary after the meta record: every
+        // remaining line is well-formed JSON, so only the missing closing
+        // span_end betrays the damage. That is a malformed input (exit 2),
+        // not an audit/replay verdict (exit 1). Truncated mid-line: ditto.
+        let mut cuts: Vec<String> = (1..lines.len()).map(|n| lines[..n].join("\n")).collect();
+        cuts.push(body[..body.len() - 7].to_string());
+        for cut in &cuts {
+            std::fs::write(&trunc, cut).unwrap();
+            for result in replays(&trunc) {
+                let err = result.expect_err("truncated capture must be rejected");
+                assert_eq!(err.exit_code(), 2, "got {err:?}");
+                assert!(err.message().contains("truncated or corrupt"), "{err:?}");
+            }
+        }
+        let _ = std::fs::remove_file(cap);
+    }
     let _ = std::fs::remove_file(&trunc);
 }

@@ -19,6 +19,7 @@ use cil_core::naive::Naive;
 use cil_core::three_bounded::ThreeBounded;
 use cil_core::two::TwoProcessor;
 use cil_core::KRegCodec;
+use cil_obs::RunEvent;
 use cil_sim::{PackCodec, Protocol, Val, WordCodec};
 
 /// The fixed seed matrix: three root seeds per protocol, each fanning out
@@ -56,9 +57,11 @@ where
         // operations under the protocol's declared access sets.
         let (_, outcome) = rerun_trial_with_codec(protocol, inputs, codec, &cfg, 0);
         assert!(!outcome.events.is_empty(), "capture requested");
-        let report = TraceAuditor::for_protocol(protocol)
-            .audit_jsonl(&outcome.events_jsonl())
-            .expect("well-formed capture");
+        for event in &outcome.events {
+            let line = event.to_json();
+            assert_eq!(RunEvent::from_json(&line).as_ref(), Ok(event), "{line}");
+        }
+        let report = TraceAuditor::for_protocol(protocol).audit(&outcome.events);
         assert!(
             report.ok(),
             "{} seed {root_seed}:\n{}",

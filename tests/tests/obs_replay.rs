@@ -18,6 +18,42 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cil_obs_{}_{name}", std::process::id()))
 }
 
+/// Dispatches tokens through the binary's entry point: `Ok` is exit 0, a
+/// failure carries its exit code.
+fn dispatch_tokens(tokens: &[&str]) -> Result<String, cil_cli::CliFailure> {
+    cil_cli::dispatch_full(tokens.iter().map(|t| t.to_string()))
+}
+
+/// The two reference captures: a simulator run and a controlled native
+/// trial, written to fresh temp files.
+fn reference_captures(tag: &str) -> [(PathBuf, String); 2] {
+    let sim = tmp(&format!("{tag}_sim.jsonl"));
+    let conc = tmp(&format!("{tag}_conc.jsonl"));
+    dispatch(&format!(
+        "run --protocol fig2 --inputs a,b,a --seed 3 --trace-json {}",
+        sim.display()
+    ))
+    .unwrap();
+    dispatch(&format!(
+        "conc stress --protocol two --inputs a,b --trials 8 --seed 1 --trace-json {}",
+        conc.display()
+    ))
+    .unwrap();
+    [sim, conc].map(|p| {
+        let text = std::fs::read_to_string(&p).unwrap();
+        (p, text)
+    })
+}
+
+/// Runs `replay` and `conc replay` on `path`.
+fn both_replays(path: &std::path::Path) -> [Result<String, cil_cli::CliFailure>; 2] {
+    let p = path.to_str().unwrap();
+    [
+        dispatch_tokens(&["replay", p]),
+        dispatch_tokens(&["conc", "replay", p]),
+    ]
+}
+
 // ---------------------------------------------------------------------------
 // Satellite: the stable, documented `cil run --trace` column format.
 // ---------------------------------------------------------------------------
@@ -86,6 +122,14 @@ fn cli_trace_json_capture_replays_byte_for_byte() {
     let replayed = dispatch(&format!("replay {}", path.display())).unwrap();
     assert!(replayed.contains("byte-for-byte"), "{replayed}");
     std::fs::remove_file(&path).unwrap();
+    // Either replay command replays either engine's captures, alike.
+    for (path, _) in reference_captures("cross") {
+        let [plain, conc] = both_replays(&path);
+        let plain = plain.expect("cil replay verifies");
+        assert!(plain.contains("byte-for-byte"), "{plain}");
+        assert_eq!(conc.expect("cil conc replay verifies"), plain);
+        std::fs::remove_file(&path).unwrap();
+    }
 }
 
 /// The round trip must also hold for a k-valued-register protocol, whose
@@ -103,7 +147,8 @@ fn cli_trace_json_roundtrip_covers_kvalued_registers() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Tampering with a captured value must make the replay diverge loudly.
+/// Tampering with a captured value must make either replay command
+/// diverge loudly, with a report that ends its last line.
 #[test]
 fn cli_replay_detects_a_tampered_capture() {
     let path = tmp("tampered.jsonl");
@@ -112,12 +157,47 @@ fn cli_replay_detects_a_tampered_capture() {
         path.display()
     ))
     .unwrap();
+    let references = reference_captures("tampered");
+    for path in std::iter::once(&path).chain(references.iter().map(|(p, _)| p)) {
+        let text = std::fs::read_to_string(path).unwrap();
+        let tampered = text.replacen("Some(Val(0))", "Some(Val(9))", 1);
+        assert_ne!(text, tampered, "capture should contain a Val(0)");
+        std::fs::write(path, tampered).unwrap();
+        for result in both_replays(path) {
+            let failure = result.expect_err("a tampered value must diverge");
+            assert_eq!(failure.exit_code(), 1, "{failure:?}");
+            assert!(failure.message().contains("DIVERGED"), "{failure:?}");
+            assert!(failure.message().ends_with('\n'), "{failure:?}");
+        }
+        std::fs::remove_file(path).unwrap();
+    }
+}
+
+/// A capture whose step limit was raised past its steps diverges at the
+/// first step beyond them instead of running on to the new limit: a
+/// never-deciding run would otherwise replay without bound.
+#[test]
+fn cli_replay_stops_one_step_past_the_capture() {
+    let path = tmp("raised_limit.jsonl");
+    dispatch(&format!(
+        "run --protocol det:always-keep --inputs a,b --max-steps 100 --seed 1 --trace-json {}",
+        path.display()
+    ))
+    .unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
-    let tampered = text.replacen("Some(Val(0))", "Some(Val(9))", 1);
-    assert_ne!(text, tampered, "capture should contain a Val(0)");
-    std::fs::write(&path, tampered).unwrap();
-    let err = dispatch(&format!("replay {}", path.display())).unwrap_err();
-    assert!(err.contains("DIVERGED"), "{err}");
+    let raised = text.replacen("\"max_steps\":100,", "\"max_steps\":1000000000000,", 1);
+    assert_ne!(text, raised);
+    std::fs::write(&path, raised).unwrap();
+    for result in both_replays(&path) {
+        let failure = result.expect_err("the replay outruns the capture");
+        assert_eq!(failure.exit_code(), 1, "{failure:?}");
+        let message = failure.message();
+        assert!(
+            message.starts_with("replay DIVERGED at event 101:"),
+            "{message}"
+        );
+        assert!(message.contains("\"index\":100"), "{message}");
+    }
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -129,22 +209,28 @@ fn cli_replay_rejects_a_capture_naming_a_missing_processor() {
         path.display()
     ))
     .unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    // Make the first step event name pid 7, which the one-based schedule
-    // notation calls processor 8, of a two-processor protocol.
-    let first_step = "\"type\":\"step\",\"index\":0,\"pid\":";
-    let tampered = text.replacen(&format!("{first_step}0"), &format!("{first_step}7"), 1);
-    assert_ne!(text, tampered, "capture should start with a step of P0");
-    std::fs::write(&path, tampered).unwrap();
-    let line = format!("replay {}", path.display());
-    let failure = cil_cli::dispatch_full(line.split_whitespace().map(String::from)).unwrap_err();
-    assert_eq!(failure.exit_code(), 2, "{}", failure.message());
-    assert!(
-        failure.message().contains("processor 8"),
-        "{}",
-        failure.message()
-    );
-    std::fs::remove_file(&path).unwrap();
+    let [(sim, _), (conc, _)] = reference_captures("pid");
+    std::fs::remove_file(&sim).unwrap();
+    for path in [&path, &conc] {
+        let text = std::fs::read_to_string(path).unwrap();
+        // Make the first step event name pid 7, which the one-based
+        // schedule notation calls processor 8, of a two-processor protocol.
+        let first_step = "\"type\":\"step\",\"index\":0,\"pid\":";
+        let at = text.find(first_step).expect("a first step") + first_step.len();
+        let tampered = format!("{}7{}", &text[..at], &text[at + 1..]);
+        assert_ne!(text, tampered, "the first step should name P0 or P1");
+        std::fs::write(path, tampered).unwrap();
+        for result in both_replays(path) {
+            let failure = result.expect_err("a missing processor");
+            assert_eq!(failure.exit_code(), 2, "{}", failure.message());
+            assert!(
+                failure.message().contains("processor 8"),
+                "{}",
+                failure.message()
+            );
+        }
+        std::fs::remove_file(path).unwrap();
+    }
 }
 
 /// Library-level round trip: every captured event survives JSONL
@@ -260,4 +346,61 @@ fn sweep_digest_is_invariant_under_observation_and_jobs() {
         exports.push(registry.snapshot().to_json());
     }
     assert_eq!(exports[0], exports[1]);
+}
+
+// ---------------------------------------------------------------------------
+// Truncated file inputs.
+// ---------------------------------------------------------------------------
+
+/// ROADMAP item 2's fuzz test, truncation half: every file input `cil`
+/// reads back — certificates, metrics snapshots and both kinds of capture
+/// — cut at every 7th byte exits 0, 1 or 2 and never panics. A cut
+/// certificate or snapshot is malformed, so those exit 1 or 2.
+#[test]
+fn truncated_file_inputs_never_panic() {
+    let cert = tmp("fuzz_cert.json");
+    let snap = tmp("fuzz_snap.json");
+    let cut = tmp("fuzz_cut");
+    let cut_str = cut.to_str().unwrap();
+    dispatch(&format!("prove two --cert {}", cert.display())).unwrap();
+    dispatch(&format!(
+        "sweep --protocol two --inputs a,b --trials 100 --seed 1 --metrics-out {}",
+        snap.display()
+    ))
+    .unwrap();
+    let [(sim, sim_text), (conc, conc_text)] = reference_captures("fuzz");
+    let mut runs = 0;
+    // Cuts `bytes` at every 7th byte, runs each command on the cut file and
+    // checks its exit code is in `allowed`.
+    let mut fuzz = |bytes: &[u8], commands: &[&[&str]], allowed: &[i32]| {
+        for at in (0..bytes.len()).step_by(7) {
+            std::fs::write(&cut, &bytes[..at]).unwrap();
+            for command in commands {
+                let code = match dispatch_tokens(command) {
+                    Ok(_) => 0,
+                    Err(failure) => failure.exit_code(),
+                };
+                assert!(allowed.contains(&code), "{command:?} at byte {at}: {code}");
+                runs += 1;
+            }
+        }
+    };
+    let malformed = [1, 2];
+    let any = [0, 1, 2];
+    let cert_bytes = std::fs::read(&cert).unwrap();
+    fuzz(
+        &cert_bytes,
+        &[&["prove", "--check-cert", cut_str]],
+        &malformed,
+    );
+    let snap_bytes = std::fs::read(&snap).unwrap();
+    fuzz(&snap_bytes, &[&["report", cut_str]], &malformed);
+    let sim_commands: [&[&str]; 2] = [&["replay", cut_str], &["report", cut_str]];
+    fuzz(sim_text.as_bytes(), &sim_commands, &any);
+    let conc_commands: [&[&str]; 2] = [&["conc", "replay", cut_str], &["report", cut_str]];
+    fuzz(conc_text.as_bytes(), &conc_commands, &any);
+    assert!(runs > 2000, "{runs} cuts");
+    for path in [cert, snap, cut, sim, conc] {
+        std::fs::remove_file(path).unwrap();
+    }
 }
